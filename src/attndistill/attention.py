@@ -6,6 +6,13 @@ the neighbor offset. The content logit is scaled by 1/sqrt(c_out) and the
 positional logit by 1/c_out**0.25 (switchable to 1/sqrt(c_out) for
 ablation). Out-of-image neighborhood slots are excluded from the softmax,
 so boundary pixels renormalize over real neighbors only.
+
+The layer is glue around one autodiff node, `tensor.local_attention`, so
+no reshapes or transposes are recorded. That op works channel-major, with
+queries, keys and values laid out (heads, c, H, W, B) from the projection
+to the output. Keys and values are zero-padded by k//2, and each neighbor
+offset is a shifted slice of the padded maps. Slots that fall in the
+padding get a -1e9 logit bias, so their softmax weight is exactly zero.
 """
 
 from __future__ import annotations
@@ -17,9 +24,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
-
-_MASK_CACHE: dict = {}
-_NEG = -1e9
 
 
 @dataclass
@@ -105,65 +109,21 @@ def neighborhood_extract(x: Tensor, k: int):
     return patches, valid
 
 
-def _mask_bias(h: int, w: int, k: int, dtype) -> np.ndarray:
-    key = (h, w, k, np.dtype(dtype).name)
-    if key not in _MASK_CACHE:
-        valid = T.window_validity(h, w, k)
-        bias = np.where(valid, 0.0, _NEG).astype(dtype)
-        _MASK_CACHE[key] = bias[None, :, None, :]  # (1, P, 1, K)
-    return _MASK_CACHE[key]
-
-
-def _central_band(k: int) -> np.ndarray:
-    """Flat indices into the (2k-1)^2 offset table used by a k x k window."""
-    span = 2 * k - 1
-    half = k // 2
-    idx = [
-        (di + k - 1) * span + (dj + k - 1)
-        for di in range(-half, half + 1)
-        for dj in range(-half, half + 1)
-    ]
-    return np.asarray(idx, dtype=np.int64)
-
-
 def local_self_attention(x: Tensor, params: AttentionLayerParams, return_weights: bool = False):
     """Windowed attention: per head, softmax over the valid neighborhood
     of content plus positional logits, then a convex mix of the values.
 
     Output is (B, c_out, H, W); a stride-2 layer mean-pools 2x2 afterwards.
+    With `return_weights`, also returns the (B, H*W, heads, k*k) softmax
+    weights (exact zeros at out-of-image slots).
     """
-    B, c_in, H, W = x.shape
+    c_in = x.shape[1]
     if c_in != params.c_in:
         raise ShapeError(f"input has {c_in} channels, layer expects {params.c_in}")
-    k, N = params.extent, params.heads
-    c_out, ch = params.c_out, params.head_dim
-    P, K = H * W, k * k
-
-    flat = T.reshape(T.transpose(x, (0, 2, 3, 1)), (B * P, c_in))
-    q = T.matmul(flat, params.w_q)
-    keys = T.matmul(flat, params.w_k)
-    vals = T.matmul(flat, params.w_v)
-
-    # head-major layouts: q (B,P,N,c), gathered keys/values (B,P,N,K,c)
-    q4 = T.reshape(q, (B, P, N, ch))
-    kn = T.transpose(T.reshape(T.window_gather(T.reshape(keys, (B, H, W, c_out)), k),
-                               (B, P, K, N, ch)), (0, 1, 3, 2, 4))
-    vn = T.transpose(T.reshape(T.window_gather(T.reshape(vals, (B, H, W, c_out)), k),
-                               (B, P, K, N, ch)), (0, 1, 3, 2, 4))
-
-    content = T.scale(T.nbhd_dot(q4, kn), 1.0 / np.sqrt(c_out))
-    pos_div = np.sqrt(c_out) if params.pos_scale == "sqrt" else c_out**0.25
-    span = 2 * k - 1
-    table = T.reshape(params.rel_pos, (N, span * span, ch))
-    band = T.gather(table, _central_band(k), axis=1)  # (N, K, ch)
-    positional = T.scale(T.relpos_dot(q4, band), 1.0 / pos_div)
-
-    logits = T.add(T.add(content, positional), _mask_bias(H, W, k, x.dtype))
-    attn = T.softmax(logits, axis=3)  # over the K neighborhood slots
-    mixed = T.nbhd_mix(attn, vn)  # (B, P, N, ch)
-    y = T.transpose(T.reshape(mixed, (B, H, W, c_out)), (0, 3, 1, 2))
+    pos_div = np.sqrt(params.c_out) if params.pos_scale == "sqrt" else params.c_out**0.25
+    out = T.local_attention(x, params.w_q, params.w_k, params.w_v, params.rel_pos,
+                            1.0 / np.sqrt(params.c_out), 1.0 / pos_div, return_weights)
+    y = out[0] if return_weights else out
     if params.stride == 2:
         y = T.avg_pool2(y)
-    if return_weights:
-        return y, attn
-    return y
+    return (y, out[1]) if return_weights else y

@@ -167,6 +167,15 @@ def _case_nbhd_mix(rng):
     return lambda: _probe_sum(T.nbhd_mix(w, vn), np.random.default_rng(7)), [w, vn]
 
 
+def _case_local_attention(rng):
+    # k=5 on a 3x4 map: every window overhangs the image
+    x = _leaf(rng, (2, 3, 3, 4))
+    w_q, w_k, w_v = (_leaf(rng, (3, 4)) for _ in range(3))
+    rel_pos = _leaf(rng, (2, 9, 9, 2))
+    out = lambda: T.local_attention(x, w_q, w_k, w_v, rel_pos, 0.5, 0.7)
+    return lambda: _probe_sum(out(), np.random.default_rng(7)), [x, w_q, w_k, w_v, rel_pos]
+
+
 def _case_attention_layer(rng):
     params = init_attention_params(3, 4, 2, 3, rng)
     x = _leaf(rng, (2, 3, 4, 4))
@@ -201,6 +210,7 @@ CASES = [
     ("nbhd_dot", _case_nbhd_dot),
     ("relpos_dot", _case_relpos_dot),
     ("nbhd_mix", _case_nbhd_mix),
+    ("local_attention", _case_local_attention),
     ("attention_layer", _case_attention_layer),
 ]
 

@@ -535,6 +535,11 @@ def batch_norm(
 
 # --- windowed attention primitives ---
 
+# window_gather, nbhd_dot, relpos_dot and nbhd_mix are the unfused form of
+# `local_attention`. Only `attention.neighborhood_extract` and the gradient
+# suite call them, but the benchmark's tracer (perfbench/probe.py) wraps
+# each of these names, so they stay until it stops doing so.
+
 
 def window_gather(x: Tensor, k: int) -> Tensor:
     """Gather the k x k neighborhood of every pixel of a BHWC map.
@@ -619,6 +624,130 @@ def nbhd_mix(w: Tensor, vn: Tensor) -> Tensor:
         return dw, dv
 
     return _record(data, (w, vn), bw)
+
+
+_NEG = -1e9  # logit bias of out-of-image slots: exp underflows to exactly 0
+
+
+def _batch_last(a: np.ndarray) -> np.ndarray:
+    """Contiguous (B, ...) -> (..., B) copy that does not depend on cache luck.
+
+    Copied directly, the reads step through `a` by one image, C*H*W values:
+    a power of two at every model width, so the B rows in flight share one
+    cache set and, depending on how the pages land physically, the copy
+    runs up to 30x slower from one call to the next. Staging the rows in a
+    buffer whose row length is an odd number of cache lines spreads them
+    over all sets; the extra contiguous copy costs far less.
+    """
+    B = a.shape[0]
+    R = a.size // B
+    line = 64 // a.itemsize
+    lines = -(-R // line) | 1  # rows of whole cache lines, an odd count of them
+    staged = np.empty((B, lines * line), dtype=a.dtype)
+    staged[:, :R] = a.reshape(B, R)
+    return staged[:, :R].T.copy().reshape(a.shape[1:] + (B,))
+
+
+def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: Tensor,
+                    content_scale: float, pos_scale: float, return_weights: bool = False):
+    """Multi-head k x k local self-attention of an NCHW map, one graph node.
+
+    x is (B, c_in, H, W); w_q, w_k, w_v are (c_in, c_out); rel_pos is
+    (heads, 2k-1, 2k-1, c_out/heads), of which the central k x k band is
+    used. Logits are content_scale * q.k + pos_scale * q.r per head and
+    neighbor offset; out-of-image slots get an exactly-zero softmax weight.
+    Returns the (B, c_out, H, W) output, plus the (B, H*W, heads, k*k)
+    weights as a constant tensor when `return_weights` is set.
+
+    The arithmetic is that of a channel-major (B, heads, c, H, W)
+    formulation: projections by BLAS, keys and values zero-padded by k//2,
+    and a loop over the k*k offsets in which each neighbor is a shifted
+    slice of the padded maps, so no (B, H*W, k*k, c) neighborhood is
+    materialized. The elementwise loops hold their maps batch-innermost,
+    (heads, c, H, W, B), so every shifted slice is made of contiguous rows
+    of W*B values rather than W (4 on the smallest maps); the gradient
+    GEMMs that sum over the batch take it outermost, in image order.
+    """
+    B, c_in, H, W = x.shape
+    N, span, _, ch = rel_pos.shape
+    c_out = N * ch
+    for w in (w_q, w_k, w_v):
+        if w.shape != (c_in, c_out):
+            raise ShapeError(f"projection {w.shape} does not map {c_in} channels to {c_out}")
+    k = (span + 1) // 2
+    half, K, M = k // 2, k * k, H * W * B
+    offsets = [(i, j) for i in range(k) for j in range(k)]  # slice starts in the padded maps
+    dtype = x.data.dtype
+    sc, sp = dtype.type(content_scale), dtype.type(pos_scale)
+
+    xt = _batch_last(x.data).reshape(c_in, M)
+    w_all = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)  # (c_in, 3 c_out)
+    qkv = w_all.T @ xt
+    q = qkv[:c_out].reshape(N, ch, H, W, B)
+    qc = q * sc
+    kvp = np.zeros((2, N, ch, H + 2 * half, W + 2 * half, B), dtype=dtype)
+    kvp[..., half : half + H, half : half + W, :] = qkv[c_out:].reshape(2, N, ch, H, W, B)
+
+    band = rel_pos.data[:, half : half + k, half : half + k].reshape(N, K, ch)
+    logits = np.matmul(band * sp, q.reshape(N, ch, M)).reshape(N, K, H, W, B)
+    prod = np.empty_like(q)
+    for d, (i, j) in enumerate(offsets):
+        np.multiply(qc, kvp[0, ..., i : i + H, j : j + W, :], out=prod)
+        logits[:, d] += prod.sum(axis=1)
+    inside = np.zeros((H + 2 * half, W + 2 * half, 1), dtype=dtype)
+    inside[half : half + H, half : half + W] = 1
+    logits += np.stack([(1 - inside[i : i + H, j : j + W]) * dtype.type(_NEG) for i, j in offsets])
+    if not np.isfinite(logits).all():  # the finite bias neither hides nor makes a non-finite logit
+        raise NumericError("local_attention logits contain non-finite values")
+    logits -= logits.max(axis=1, keepdims=True)
+    a = np.exp(logits, out=logits)
+    a /= a.sum(axis=1, keepdims=True)  # (N, K, H, W, B)
+
+    out = np.zeros_like(q)
+    for d, (i, j) in enumerate(offsets):
+        np.multiply(a[:, d, None], kvp[1, ..., i : i + H, j : j + W, :], out=prod)
+        out += prod
+
+    def bw(g):
+        gh = _batch_last(g).reshape(N, ch, H, W, B)
+        da = np.empty_like(a)
+        dkvp = np.zeros_like(kvp)
+        for d, (i, j) in enumerate(offsets):
+            np.multiply(gh, kvp[1, ..., i : i + H, j : j + W, :], out=prod)
+            prod.sum(axis=1, out=da[:, d])
+            np.multiply(a[:, d, None], gh, out=prod)
+            dkvp[1, ..., i : i + H, j : j + W, :] += prod
+        dl = a * (da - (da * a).sum(axis=1, keepdims=True))  # softmax backward
+        dl_flat = dl.reshape(N, K, M)
+        dq = np.matmul(band.transpose(0, 2, 1) * sp, dl_flat).reshape(N, ch, H, W, B)
+        dqc = np.zeros_like(q)
+        for d, (i, j) in enumerate(offsets):
+            dld = dl[:, d, None]
+            np.multiply(dld, kvp[0, ..., i : i + H, j : j + W, :], out=prod)
+            dqc += prod
+            np.multiply(dld, qc, out=prod)
+            dkvp[0, ..., i : i + H, j : j + W, :] += prod
+        dq += dqc * sc
+        dl_b = np.ascontiguousarray(dl.reshape(N, K, H * W, B).transpose(3, 0, 1, 2))
+        q_b = np.ascontiguousarray(q.reshape(N, ch, H * W, B).transpose(3, 0, 2, 1))
+        dband = np.matmul(dl_b, q_b).sum(axis=0) * sp
+        drel = np.zeros_like(rel_pos.data)
+        drel[:, half : half + k, half : half + k] = dband.reshape(N, k, k, ch)
+
+        dqkv = np.empty((B, 3, N, ch, H, W), dtype=dtype)
+        dqkv[:, 0] = dq.transpose(4, 0, 1, 2, 3)
+        dqkv[:, 1:] = dkvp[..., half : half + H, half : half + W, :].transpose(5, 0, 1, 2, 3, 4)
+        dqkv = dqkv.reshape(B, 3 * c_out, H * W)
+        dx = np.matmul(w_all, dqkv).reshape(x.shape) if x.requires_grad else None
+        dw = np.tensordot(x.data.reshape(B, c_in, H * W), dqkv, axes=([0, 2], [0, 2]))
+        dw_q, dw_k, dw_v = (np.ascontiguousarray(part) for part in np.split(dw, 3, axis=1))
+        return dx, dw_q, dw_k, dw_v, drel
+
+    y = np.ascontiguousarray(out.reshape(c_out, H, W, B).transpose(3, 0, 1, 2))
+    y = _record(y, (x, w_q, w_k, w_v, rel_pos), bw)
+    if return_weights:
+        return y, Tensor(a.transpose(4, 2, 3, 0, 1).reshape(B, H * W, N, K))
+    return y
 
 
 # --- gradient checking ---

@@ -28,7 +28,7 @@ from . import sparse as S
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .distill import DistillConfig, combine_terms, loss_terms
-from .errors import ConfigError, ContractError, TrainingDiverged
+from .errors import ConfigError, ContractError, FormatError, TrainingDiverged
 from .models import (
     Model,
     ModelSpec,
@@ -175,7 +175,10 @@ def save_model_checkpoint(path, model: Model, cfg: TrainConfig, kind: str, epoch
 def model_from_checkpoint(path):
     """Rebuild the model (and masks, if any) stored in a checkpoint."""
     manifest, arrays, masks = load_checkpoint(path)
-    spec = _spec_from_dict(manifest["model_spec"])
+    try:
+        spec = _spec_from_dict(manifest["model_spec"])
+    except (KeyError, TypeError) as e:
+        raise FormatError(f"checkpoint {path} has no valid model_spec ({type(e).__name__}: {e})") from e
     model = build_model(spec, np.random.default_rng(0))
     params = model.named_params()
     for name, t in params.items():
@@ -302,7 +305,10 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None)
     checkpoint then resumes it), which is how resumability is exercised.
     """
     train_ds, test_ds = load_datasets(cfg)
-    teacher, _, _, _ = model_from_checkpoint(teacher_ckpt)
+    teacher, t_manifest, _, _ = model_from_checkpoint(teacher_ckpt)
+    if t_manifest.get("kind") != "teacher":
+        raise ConfigError(f"--teacher checkpoint {teacher_ckpt} is a {t_manifest.get('kind')!r} "
+                          "checkpoint, not a teacher")
     student_spec = spec_by_name(cfg.depth, "student", cfg.variant, cfg.classes,
                                 cfg.extent, cfg.heads, cfg.pos_scale)
     _check_tap_compatibility(teacher.spec, student_spec)
@@ -362,10 +368,15 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None)
             opt.step()
             S.apply_mask(state, student)
             state.accumulate_momentum(opt)
-            sums["total"] += value
-            sums["ce"] += ce.item()
-            sums["kd"] += kd.item() if kd is not None else 0.0
-            sums["at"] += at.item() if at is not None else 0.0
+            # the logged total recombines the logged components in float64,
+            # so it does not carry the float32 rounding of `loss`
+            ce_v = ce.item()
+            kd_v = kd.item() if kd is not None else 0.0
+            at_v = at.item() if at is not None else 0.0
+            sums["total"] += dcfg.alpha * ce_v + (1.0 - dcfg.alpha) * kd_v + dcfg.beta / 2.0 * at_v
+            sums["ce"] += ce_v
+            sums["kd"] += kd_v
+            sums["at"] += at_v
             batches_seen += 1
         # accuracy reflects the state the epoch trained into; the boundary
         # mask update below prepares the *next* epoch, so the final epoch

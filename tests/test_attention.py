@@ -112,6 +112,9 @@ def test_uniform_attention_when_logits_vanish():
     (3, 8, 2, 3, 4, 3),
     (5, 6, 2, 1, 2, 4),
     (4, 4, 2, 3, 3, 4),
+    (3, 4, 1, 5, 6, 4),
+    (2, 8, 4, 5, 3, 2),
+    (4, 8, 4, 5, 7, 3),
 ])
 def test_attention_matches_brute_force(cin, cout, heads, k, h, w):
     with precision(np.float64):
@@ -120,6 +123,17 @@ def test_attention_matches_brute_force(cin, cout, heads, k, h, w):
         x = rng.standard_normal((2, cin, h, w))
         y = local_self_attention(Tensor(x), p).data
         assert np.abs(y - brute_force_attention(x, p)).max() <= 1e-5
+
+
+@pytest.mark.parametrize("heads,k,h,w", [(1, 5, 4, 6), (4, 5, 2, 4), (4, 3, 6, 2)])
+def test_stride2_attention_matches_pooled_brute_force(heads, k, h, w):
+    with precision(np.float64):
+        rng = np.random.default_rng([heads, k, h, w])
+        p = init_attention_params(3, 8, heads, k, rng, stride=2)
+        x = rng.standard_normal((2, 3, h, w))
+        y = local_self_attention(Tensor(x), p).data
+        pooled = brute_force_attention(x, p).reshape(2, 8, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        assert np.abs(y - pooled).max() <= 1e-5
 
 
 def test_attention_weights_sum_to_one_on_valid_slots():

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from attndistill.checkpoint import save_checkpoint
 from attndistill.cli import main as cli_main
 from attndistill.config import TrainConfig
-from attndistill.errors import ConfigError
+from attndistill.errors import ConfigError, FormatError
 from attndistill.models import build_model, count_params, toy_spec
 from attndistill.train import (
     RunMetrics,
@@ -18,6 +19,7 @@ from attndistill.train import (
     lr_at,
     model_from_checkpoint,
     report,
+    save_model_checkpoint,
     sparse_distill,
     train_teacher,
 )
@@ -163,6 +165,15 @@ def test_tap_incompatibility_raises_config_error(tmp_path, tiny_teacher):
         sparse_distill(cfg, tiny_teacher["ckpt"])
 
 
+def test_non_teacher_checkpoint_refused_as_teacher(tmp_path):
+    cfg = tiny_config(tmp_path, epochs=1, variant="hybrid")
+    student = build_model(toy_spec("student", "hybrid"), np.random.default_rng(0))
+    ckpt = save_model_checkpoint(str(tmp_path / "s.atlt"), student, cfg, "student", 1,
+                                 phases=["sparse-distill"])
+    with pytest.raises(ConfigError, match="not a teacher"):
+        sparse_distill(cfg, ckpt)
+
+
 def test_report_on_toy_pair(tmp_path, tiny_teacher):
     cfg = tiny_config(tmp_path, epochs=1, lr=0.01, lr_drops=(), variant="hybrid",
                       alpha=1.0, beta=0.0, density=0.5)
@@ -230,6 +241,17 @@ def test_cli_error_is_single_parsable_line(capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err
+
+
+def test_cli_checkpoint_without_model_spec_is_format_error(tmp_path, capsys):
+    path = str(tmp_path / "nospec.atlt")
+    save_checkpoint(path, {"kind": "student", "epoch": 1}, {"param.w": np.zeros(4, dtype=np.float32)})
+    with pytest.raises(FormatError):
+        model_from_checkpoint(path)
+    rc = cli_main(["eval", "--ckpt", path, "--dataset", "synthetic"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: FormatError: ") and "\n" not in err
 
 
 def test_cli_subprocess_exit_codes(tmp_path):
