@@ -119,6 +119,17 @@ def _case_conv2d_strided(rng):
     return lambda: _probe_sum(T.conv2d(x, w, stride=2, pad=1), np.random.default_rng(7)), [x, w]
 
 
+def _case_conv2d_1x1(rng):
+    x, w = _leaf(rng, (3, 5, 4, 4)), _leaf(rng, (6, 5, 1, 1))
+    return lambda: _probe_sum(T.conv2d(x, w), np.random.default_rng(7)), [x, w]
+
+
+def _case_conv2d_1x1_strided(rng):
+    # the shape of a bottleneck's `down` projection
+    x, w = _leaf(rng, (3, 5, 6, 6)), _leaf(rng, (6, 5, 1, 1))
+    return lambda: _probe_sum(T.conv2d(x, w, stride=2), np.random.default_rng(7)), [x, w]
+
+
 def _case_avg_pool(rng):
     x = _leaf(rng, (2, 3, 6, 6))
     return lambda: _probe_sum(T.avg_pool2(x), np.random.default_rng(7)), [x]
@@ -202,6 +213,8 @@ CASES = [
     ("log_softmax", _case_log_softmax),
     ("conv2d", _case_conv2d),
     ("conv2d_stride2", _case_conv2d_strided),
+    ("conv2d_1x1", _case_conv2d_1x1),
+    ("conv2d_1x1_stride2", _case_conv2d_1x1_strided),
     ("avg_pool2", _case_avg_pool),
     ("global_avg_pool", _case_global_avg_pool),
     ("batch_norm_train", _case_batch_norm_train),

@@ -325,10 +325,6 @@ def build_model(spec: ModelSpec, rng) -> Model:
     return Model(spec, rng)
 
 
-def forward_with_taps(model: Model, batch: Tensor, training: bool = False):
-    return model.forward_with_taps(batch, training)
-
-
 def pair_taps(student_taps, teacher_taps):
     """Match taps stage by stage.
 

@@ -159,10 +159,6 @@ def apply_mask(state: SparseState, model: Model):
         p.data *= mask
 
 
-def accumulate_momentum(state: SparseState, optimizer: SGD):
-    state.accumulate_momentum(optimizer)
-
-
 def _apportion(freed: int, mu: dict, capacity: dict) -> dict:
     """Integer quotas proportional to mu, capped by capacity, summing to freed.
 

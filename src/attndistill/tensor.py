@@ -425,7 +425,15 @@ def log_softmax(a: Tensor, axis: int) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with OIHW weights, zero padding."""
+    """Cross-correlation of NCHW input with OIHW weights, zero padding.
+
+    Forward is im2col plus one batched GEMM. The weight gradient is one
+    BLAS GEMM per image, `g[b] @ cols[b].T`, summed over the batch into a
+    float64 accumulator and rounded once to the gradient's dtype. With the
+    float64 sum the result does not depend on the order the images are
+    added in, and its error is that of one float32 contraction over the
+    batch.
+    """
     B, cin, H, W = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
@@ -445,7 +453,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     def bw(g):
         g2 = g.reshape(B, cout, ho * wo)
-        dw = np.einsum("bco,bio->ci", g2, cols2).reshape(w.shape)
+        dw64 = np.zeros(wmat.shape, dtype=np.float64)
+        for b in range(B):
+            dw64 += g2[b] @ cols2[b].T
+        dw = dw64.astype(g2.dtype).reshape(w.shape)
         dcols = np.matmul(wmat.T[None], g2).reshape(B, cin, kh, kw, ho, wo)
         dxp = np.zeros_like(xp)
         for di in range(kh):
@@ -461,7 +472,15 @@ def avg_pool2(x: Tensor) -> Tensor:
     """Non-overlapping 2x2 mean pooling; spatial dims must be even."""
     B, C, H, W = x.shape
     _contract(H % 2 == 0 and W % 2 == 0, f"avg_pool2 needs even spatial dims, got {H}x{W}")
-    data = x.data.reshape(B, C, H // 2, 2, W // 2, 2).mean(axis=(3, 5))
+    # Adding each row's pair first, then the two rows, reproduces
+    # reshape(...).mean(axis=(3, 5)) bit for bit when W >= 4; a sequential
+    # sum and adding column pairs first do not. At W == 2 numpy's mean adds
+    # the four values in sequence, so the last bit can differ there; the
+    # models see 32x32 images and pool no map narrower than 8.
+    a = x.data
+    top = a[:, :, 0::2, 0::2] + a[:, :, 0::2, 1::2]
+    bottom = a[:, :, 1::2, 0::2] + a[:, :, 1::2, 1::2]
+    data = (top + bottom) * a.dtype.type(0.25)
 
     def bw(g):
         spread = np.broadcast_to(

@@ -87,6 +87,44 @@ def test_conv2d_against_six_loop(stride, pad):
     assert np.abs(out - _conv_six_loop(x, w, stride, pad)).max() <= 1e-5
 
 
+def _conv_weight_grad(x, w, g, stride, pad):
+    """dL/dw for upstream gradient g, one float32 backward pass."""
+    wt = Tensor(w, requires_grad=True)
+    T.tsum(T.mul(T.conv2d(Tensor(x), wt, stride=stride, pad=pad), Tensor(g))).backward()
+    return wt.grad
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_conv2d_weight_grad_against_float64_einsum(k, stride, pad, batch):
+    rng = np.random.default_rng([k, stride, pad, batch])
+    x = rng.standard_normal((batch, 6, 9, 9)).astype(np.float32)
+    w = rng.standard_normal((5, 6, k, k)).astype(np.float32)
+    ho = (9 + 2 * pad - k) // stride + 1
+    g = rng.standard_normal((batch, 5, ho, ho)).astype(np.float32)
+    dw = _conv_weight_grad(x, w, g, stride, pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))).astype(np.float64)
+    ref = np.empty(w.shape)
+    for di in range(k):
+        for dj in range(k):
+            patch = xp[:, :, di : di + stride * ho : stride, dj : dj + stride * ho : stride]
+            ref[:, :, di, dj] = np.einsum("bohw,bihw->oi", g.astype(np.float64), patch)
+    assert dw.dtype == np.float32
+    assert np.abs(dw - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+def test_conv2d_weight_grad_independent_of_batch_order():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((7, 16, 8, 8)).astype(np.float32)
+    w = rng.standard_normal((32, 16, 3, 3)).astype(np.float32)
+    g = rng.standard_normal((7, 32, 4, 4)).astype(np.float32)
+    forward = _conv_weight_grad(x, w, g, stride=2, pad=1)
+    reversed_ = _conv_weight_grad(x[::-1].copy(), w, g[::-1].copy(), stride=2, pad=1)
+    assert np.array_equal(forward, reversed_)
+
+
 def test_conv2d_channel_mismatch():
     with pytest.raises(ShapeError):
         T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))), pad=1)
@@ -243,6 +281,19 @@ def test_avg_pool_and_gap_values():
     pooled = T.avg_pool2(Tensor(x)).data
     assert np.allclose(pooled[0, 0], [[2.5, 4.5], [10.5, 12.5]])
     assert np.allclose(T.global_avg_pool(Tensor(x)).data, x.mean())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1, 2, 4), (3, 5, 6, 10), (100, 8, 32, 32), (8, 512, 8, 8)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+def test_avg_pool_equals_reshape_mean(dtype, shape, scale):
+    rng = np.random.default_rng(list(shape))
+    x = (rng.standard_normal(shape) * scale).astype(dtype)
+    b, c, h, w = shape
+    expected = x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    pooled = T.avg_pool2(Tensor(x, dtype=dtype)).data
+    assert pooled.dtype == dtype
+    assert np.array_equal(pooled, expected)
 
 
 def test_gather_and_concat_roundtrip():
