@@ -1,0 +1,69 @@
+"""Digests of every artifact that deterministic runs write.
+
+Usage: python scripts/artifact_digest.py
+
+Runs three `--deterministic` fixtures in a fresh temporary directory:
+a toy teacher, toy distillation with irregular pruning, and student26
+column distillation from an untrained teacher50 on 16 images. Output
+directories are relative, because `out_dir` is stored in every manifest.
+Prints `sha256  path` for every metrics CSV and checkpoint. Run it in two
+checkouts and diff the outputs: equal lines mean byte-identical artifacts.
+BLAS runs on one thread, so the digests do not depend on the core count.
+"""
+
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+import numpy as np  # noqa: E402
+
+from attndistill import models, train  # noqa: E402
+from attndistill.config import TrainConfig  # noqa: E402
+
+TOY = dict(dataset="synthetic", synth_train=400, synth_test=200, classes=2, batch_size=50,
+           depth="toy", heads=2, extent=3, seed=7, deterministic=True)
+FULL = dict(dataset="synthetic", synth_train=16, synth_test=16, classes=10, batch_size=8,
+            heads=8, extent=3, seed=7, deterministic=True)
+DISTILL = dict(variant="hybrid", alpha=0.1, beta=1000.0, temperature=4.0, prune_rate0=0.5)
+
+
+def run_fixtures():
+    teacher, _ = train.train_teacher(TrainConfig(out_dir="toy-teacher", variant="conv", epochs=2,
+                                                 lr=0.05, **TOY))
+    train.sparse_distill(TrainConfig(out_dir="toy-distill", epochs=3, lr=0.003, density=0.25,
+                                     prune_mode="irregular", **DISTILL, **TOY), teacher)
+
+    tcfg = TrainConfig(out_dir="teacher50", depth="teacher50", variant="conv", **FULL)
+    spec = models.spec_by_name("teacher50", "teacher", "conv", tcfg.classes, tcfg.extent, tcfg.heads)
+    model = models.build_model(spec, np.random.default_rng([tcfg.seed, 1]))
+    teacher50 = train.save_model_checkpoint(os.path.join("teacher50", "teacher.atlt"), model, tcfg,
+                                            "teacher", 0, phases=["untrained"])
+    train.sparse_distill(TrainConfig(out_dir="student26", depth="student26", epochs=2, lr=0.01,
+                                     density=0.5, prune_mode="column", **DISTILL, **FULL), teacher50)
+
+
+def main():
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(sys.stderr):  # progress lines stay out of the digests
+                run_fixtures()
+            paths = sorted(os.path.normpath(os.path.join(d, f)) for d, _, files in os.walk(".")
+                           for f in files if f.endswith((".csv", ".atlt")))
+            for path in paths:
+                with open(path, "rb") as f:
+                    print(f"{hashlib.sha256(f.read()).hexdigest()}  {path}")
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()

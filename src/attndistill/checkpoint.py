@@ -23,6 +23,7 @@ place, so a checkpoint on disk is never half-written.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -106,18 +107,28 @@ def load_checkpoint(path):
     arrays, masks = {}, {}
     for _ in range(count):
         (nlen,) = r.unpack("<H")
-        name = r.take(nlen).decode("utf-8")
+        try:
+            name = r.take(nlen).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"corrupt record name in {path}: {e}") from e
         kind, ndim = r.unpack("<BB")
         shape = r.unpack(f"<{ndim}I")
         (plen,) = r.unpack("<Q")
         payload = r.take(plen)
-        size = int(np.prod(shape)) if ndim else 1
+        size = math.prod(shape)
+        # the declared length must match the shape before anything is allocated
         if kind == KIND_F32:
-            arr = np.frombuffer(payload, dtype="<f4", count=size).reshape(shape).copy()
-            arrays[name] = arr
+            expected = 4 * size
         elif kind == KIND_MASK:
-            bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=size)
-            masks[name] = bits.reshape(shape).astype(np.float32)
+            expected = -(-size // 8)
         else:
             raise FormatError(f"unknown record kind {kind} in {path}")
+        if plen != expected:
+            raise FormatError(f"record {name!r} in {path} has {plen} payload bytes, "
+                              f"shape {shape} needs {expected}")
+        if kind == KIND_F32:
+            arrays[name] = np.frombuffer(payload, dtype="<f4", count=size).reshape(shape).copy()
+        else:
+            bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=size)
+            masks[name] = bits.reshape(shape).astype(np.float32)
     return manifest, arrays, masks

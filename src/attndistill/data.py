@@ -128,11 +128,26 @@ def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int, train: boo
         order = np.arange(len(dataset))
     for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
+        imgs = dataset.images[idx]
         if train:
-            imgs = np.stack([augment(dataset[i], rng).pixels for i in idx])
-        else:
-            imgs = dataset.images[idx]
+            imgs = _augment_batch(imgs, rng)
         yield Tensor(imgs), dataset.labels[idx]
+
+
+def _augment_batch(imgs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """`augment` applied to each image of a batch, with the same draws in
+    the same order, so the pixels are byte-identical to the per-image path."""
+    flip = np.empty(len(imgs), dtype=bool)
+    corners = np.empty((len(imgs), 2), dtype=np.int64)
+    for k in range(len(imgs)):
+        flip[k] = rng.random() < 0.5
+        corners[k] = rng.integers(0, 2 * CROP_PAD + 1, size=2)
+    imgs[flip] = imgs[flip, :, :, ::-1]
+    padded = np.pad(imgs, ((0, 0), (0, 0), (CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD)), mode="reflect")
+    out = np.empty_like(imgs)
+    for k, (top, left) in enumerate(corners):
+        out[k] = padded[k, :, top : top + IMAGE_HW, left : left + IMAGE_HW]
+    return out
 
 
 def synthetic_dataset(n: int, classes: int, seed: int) -> Dataset:

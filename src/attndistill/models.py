@@ -325,12 +325,17 @@ def build_model(spec: ModelSpec, rng) -> Model:
     return Model(spec, rng)
 
 
-def pair_taps(student_taps, teacher_taps):
-    """Match taps stage by stage.
+def _stage_pairs(n_student: int, n_teacher: int):
+    """(student block, teacher block) pairs within one stage: block for
+    block when the counts are equal, otherwise only the stage-final taps,
+    which guarantees compatible spatial sizes."""
+    if n_student == n_teacher:
+        return [(b, b) for b in range(n_student)]
+    return [(n_student - 1, n_teacher - 1)]
 
-    Stages with equal block counts pair block-for-block; otherwise only the
-    stage-final taps pair, which guarantees compatible spatial sizes.
-    """
+
+def pair_taps(student_taps, teacher_taps):
+    """Match taps stage by stage (see `_stage_pairs`)."""
     by_stage_s, by_stage_t = {}, {}
     for tap in student_taps:
         by_stage_s.setdefault(tap.stage, []).append(tap)
@@ -341,11 +346,16 @@ def pair_taps(student_taps, teacher_taps):
     pairs = []
     for s in sorted(by_stage_s):
         st, tt = by_stage_s[s], by_stage_t[s]
-        if len(st) == len(tt):
-            pairs.extend(zip(st, tt))
-        else:
-            pairs.append((st[-1], tt[-1]))
+        pairs.extend((st[i], tt[j]) for i, j in _stage_pairs(len(st), len(tt)))
     return pairs
+
+
+def paired_teacher_blocks(student_spec: ModelSpec, teacher_spec: ModelSpec) -> set:
+    """(stage, block) of every teacher tap that `pair_taps` pairs with a
+    student tap. Dropping the other teacher taps leaves the pairs unchanged:
+    a trimmed stage keeps one tap, which pairs with the student's last."""
+    return {(s, j) for s, (ns, nt) in enumerate(zip(student_spec.blocks, teacher_spec.blocks))
+            for _, j in _stage_pairs(ns, nt)}
 
 
 def count_params(model: Model, masks: dict | None = None):

@@ -245,13 +245,15 @@ def column_prune_regrow_epoch(state: SparseState, model: Model, optimizer: SGD) 
     allocation follows the normalized momentum contribution in weight
     units, granting whole columns greedily while that reduces the gap to
     the global budget target; per-epoch rounding is corrected the next
-    epoch because the allocation always aims at the fixed target.
+    epoch because the allocation always aims at the fixed target. On
+    return the nonzero count is within one column of the target (the
+    largest row count of any layer), or ContractError is raised.
     """
     if state.mode != "column":
         raise ContractError(f"column_prune_regrow_epoch requires column mode, got {state.mode}")
     mu = state.finalize_epoch_momentum()
     if state.p_e <= 0.0:
-        return state
+        return _check_column_budget(state)
     params = model.prunable(include_stem=state.include_stem)
     for name, mask in state.masks.items():
         w_mat = _as_matrix(params[name].data)
@@ -294,6 +296,15 @@ def column_prune_regrow_epoch(state: SparseState, model: Model, optimizer: SGD) 
         w_mat[:, grow] = 0.0
         v_mat[:, grow] = 0.0
     apply_mask(state, model)
+    return _check_column_budget(state)
+
+
+def _check_column_budget(state: SparseState) -> SparseState:
+    gap = abs(state.target_nonzero - state.nonzero())
+    column = max(_as_matrix(m).shape[0] for m in state.masks.values())
+    if gap > column:
+        raise ContractError(f"column budget drifted: {state.nonzero()} nonzero against a target of "
+                            f"{state.target_nonzero}, more than one column ({column}) apart")
     return state
 
 

@@ -9,6 +9,19 @@ every `requires_grad` leaf.
 Training runs in float32. Gradient checking switches the default dtype to
 float64 via the `precision` context manager.
 
+Memory contract: a recorded op keeps only the arrays its backward closure
+reads, and recomputes anything else there with the forward's own
+operations, so results do not change. Inputs and outputs cost nothing
+extra, since the graph holds them anyway: `relu` keeps its output rather
+than a mask, `abspow` recomputes the magnitude from its input, a 1x1
+stride-1 `conv2d` reads its input as the column matrix, and `batch_norm`
+rebuilds its normalized input from `x` and two per-channel vectors.
+Beyond inputs and outputs, any other `conv2d` keeps its im2col copy and
+`local_attention` its queries, padded keys and values and softmax
+weights. So an activation is read-only once an op has recorded it:
+writing into a recorded input or output in place would change the
+gradients computed from it.
+
 Thread contract: tensors are plain arrays, safe to share for read-only
 evaluation; recording state (grad mode, default dtype) is thread-local,
 and gradient accumulation belongs to the single training thread. No
@@ -287,14 +300,15 @@ def abspow(a: Tensor, p: float) -> Tensor:
     def bw(g):
         if p == 1:
             return (g * np.sign(a.data),)
-        return (g * (p * mag ** (p - 1) * np.sign(a.data)),)
+        return (g * (p * np.abs(a.data) ** (p - 1) * np.sign(a.data)),)
 
     return _record(data, (a,), bw)
 
 
 def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0
-    return _record(a.data * keep, (a,), lambda g: (g * keep,))
+    out = a.data * (a.data > 0)
+    # out > 0 equals a > 0 for every input, -0.0, NaN and +-inf included
+    return _record(out, (a,), lambda g: (g * (out > 0),))
 
 
 # --- reductions ---
@@ -427,12 +441,15 @@ def log_softmax(a: Tensor, axis: int) -> Tensor:
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with OIHW weights, zero padding.
 
-    Forward is im2col plus one batched GEMM. The weight gradient is one
-    BLAS GEMM per image, `g[b] @ cols[b].T`, summed over the batch into a
-    float64 accumulator and rounded once to the gradient's dtype. With the
-    float64 sum the result does not depend on the order the images are
-    added in, and its error is that of one float32 contraction over the
-    batch.
+    Forward is im2col plus one batched GEMM. A 1x1 stride-1 unpadded
+    input already is its column matrix, so it is read as a view and the
+    op keeps no copy of it; every other shape keeps its im2col copy for
+    the weight gradient. The weight gradient is one BLAS GEMM per image,
+    `g[b] @ cols[b].T`, summed over the batch into a float64 accumulator
+    and rounded once to the gradient's dtype. With the float64 sum the
+    result does not depend on the order the images are added in, and its
+    error is that of one float32 contraction over the batch. The input
+    gradient is skipped when the input does not require grad (the stem).
     """
     B, cin, H, W = x.shape
     cout, cin_w, kh, kw = w.shape
@@ -442,12 +459,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     wo = (W + 2 * pad - kw) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {kh}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = np.empty((B, cin, kh, kw, ho, wo), dtype=x.data.dtype)
-    for di in range(kh):
-        for dj in range(kw):
-            cols[:, :, di, dj] = xp[:, :, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
-    cols2 = cols.reshape(B, cin * kh * kw, ho * wo)
+    pointwise = kh == kw == 1 and stride == 1 and pad == 0
+    if pointwise:
+        cols2 = x.data.reshape(B, cin, H * W)
+    else:
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+        cols = np.empty((B, cin, kh, kw, ho, wo), dtype=x.data.dtype)
+        for di in range(kh):
+            for dj in range(kw):
+                cols[:, :, di, dj] = xp[:, :, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
+        cols2 = cols.reshape(B, cin * kh * kw, ho * wo)
     wmat = w.data.reshape(cout, cin * kh * kw)
     out = np.matmul(wmat[None], cols2).reshape(B, cout, ho, wo)
 
@@ -457,8 +478,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         for b in range(B):
             dw64 += g2[b] @ cols2[b].T
         dw = dw64.astype(g2.dtype).reshape(w.shape)
-        dcols = np.matmul(wmat.T[None], g2).reshape(B, cin, kh, kw, ho, wo)
-        dxp = np.zeros_like(xp)
+        if not x.requires_grad:
+            return None, dw
+        dcols = np.matmul(wmat.T[None], g2)
+        if pointwise:
+            dcols += 0.0  # -0.0 becomes +0.0, as in the zero-filled scatter below
+            return dcols.reshape(x.shape), dw
+        dcols = dcols.reshape(B, cin, kh, kw, ho, wo)
+        dxp = np.zeros((B, cin, H + 2 * pad, W + 2 * pad), dtype=x.data.dtype)
         for di in range(kh):
             for dj in range(kw):
                 dxp[:, :, di : di + stride * ho : stride, dj : dj + stride * wo : stride] += dcols[:, :, di, dj]
@@ -518,13 +545,20 @@ def batch_norm(
     Training mode normalizes with batch statistics and updates the running
     buffers in place with an exponential moving average (unbiased variance
     for the buffer, biased for normalization). Eval mode uses the buffers.
+
+    The variance is np.var's arithmetic (mean of the squared centred copy)
+    on the centred copy that is then normalized, scaled and shifted in
+    place into the output. The op keeps only the per-channel mean and
+    inverse deviation: the backward rebuilds the normalized input from
+    `x` with the forward's two operations.
     """
     axes = (0, 2, 3) if x.ndim == 4 else (0,)
     cshape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
     n = x.size // x.shape[1]
     if training:
         mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        out = x.data - mean.reshape(cshape)
+        var = np.square(out).mean(axis=axes)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         bessel = n / max(n - 1, 1)
@@ -533,20 +567,27 @@ def batch_norm(
     else:
         mean = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype)
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.data.dtype)
-    xhat = (x.data - mean.reshape(cshape)) * inv_std.reshape(cshape)
-    out = gamma.data.reshape(cshape) * xhat + beta.data.reshape(cshape)
+        out = x.data - mean.reshape(cshape)
+    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.data.dtype).reshape(cshape)
+    mean = mean.reshape(cshape)
+    out *= inv_std
+    out *= gamma.data.reshape(cshape)
+    out += beta.data.reshape(cshape)
 
     def bw(g):
-        dgamma = (g * xhat).sum(axis=axes)
+        xhat = x.data - mean
+        xhat *= inv_std
+        tmp = g * xhat
+        dgamma = tmp.sum(axis=axes)
         dbeta = g.sum(axis=axes)
-        gs = g * gamma.data.reshape(cshape)
+        dx = g * gamma.data.reshape(cshape)
         if training:
-            m1 = gs.mean(axis=axes, keepdims=True)
-            m2 = (gs * xhat).mean(axis=axes, keepdims=True)
-            dx = inv_std.reshape(cshape) * (gs - m1 - xhat * m2)
-        else:
-            dx = gs * inv_std.reshape(cshape)
+            m1 = dx.mean(axis=axes, keepdims=True)
+            m2 = np.multiply(dx, xhat, out=tmp).mean(axis=axes, keepdims=True)
+            dx -= m1
+            xhat *= m2
+            dx -= xhat
+        dx *= inv_std
         return dx, dgamma, dbeta
 
     return _record(out, (x, gamma, beta), bw)
@@ -685,7 +726,10 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
     materialized. The elementwise loops hold their maps batch-innermost,
     (heads, c, H, W, B), so every shifted slice is made of contiguous rows
     of W*B values rather than W (4 on the smallest maps); the gradient
-    GEMMs that sum over the batch take it outermost, in image order.
+    GEMMs that sum over the batch take it outermost, in image order. The
+    node keeps the queries, the padded keys and values and the softmax
+    weights; the backward recomputes the scaled queries and the stacked
+    projection matrix and allocates its own scratch.
     """
     B, c_in, H, W = x.shape
     N, span, _, ch = rel_pos.shape
@@ -702,7 +746,7 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
     xt = _batch_last(x.data).reshape(c_in, M)
     w_all = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)  # (c_in, 3 c_out)
     qkv = w_all.T @ xt
-    q = qkv[:c_out].reshape(N, ch, H, W, B)
+    q = qkv[:c_out].reshape(N, ch, H, W, B).copy()  # the graph keeps q, not all of qkv
     qc = q * sc
     kvp = np.zeros((2, N, ch, H + 2 * half, W + 2 * half, B), dtype=dtype)
     kvp[..., half : half + H, half : half + W, :] = qkv[c_out:].reshape(2, N, ch, H, W, B)
@@ -729,6 +773,8 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
 
     def bw(g):
         gh = _batch_last(g).reshape(N, ch, H, W, B)
+        qc = q * sc
+        prod = np.empty_like(q)
         da = np.empty_like(a)
         dkvp = np.zeros_like(kvp)
         for d, (i, j) in enumerate(offsets):
@@ -753,12 +799,16 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
         drel = np.zeros_like(rel_pos.data)
         drel[:, half : half + k, half : half + k] = dband.reshape(N, k, k, ch)
 
-        dqkv = np.empty((B, 3, N, ch, H, W), dtype=dtype)
-        dqkv[:, 0] = dq.transpose(4, 0, 1, 2, 3)
-        dqkv[:, 1:] = dkvp[..., half : half + H, half : half + W, :].transpose(5, 0, 1, 2, 3, 4)
-        dqkv = dqkv.reshape(B, 3 * c_out, H * W)
-        dx = np.matmul(w_all, dqkv).reshape(x.shape) if x.requires_grad else None
-        dw = np.tensordot(x.data.reshape(B, c_in, H * W), dqkv, axes=([0, 2], [0, 2]))
+        # q/k/v gradients as one (3 c_out, B*H*W) matrix, batch outermost
+        d = np.empty((3, N, ch, B, H, W), dtype=dtype)
+        d[0] = dq.transpose(0, 1, 4, 2, 3)
+        d[1:] = dkvp[..., half : half + H, half : half + W, :].transpose(0, 1, 2, 5, 3, 4)
+        d = d.reshape(3 * c_out, B * H * W)
+        dx = None
+        if x.requires_grad:
+            w_all = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)
+            dx = np.ascontiguousarray((w_all @ d).reshape(c_in, B, H, W).transpose(1, 0, 2, 3))
+        dw = x.data.transpose(1, 0, 2, 3).reshape(c_in, B * H * W) @ d.T
         dw_q, dw_k, dw_v = (np.ascontiguousarray(part) for part in np.split(dw, 3, axis=1))
         return dx, dw_q, dw_k, dw_v, drel
 

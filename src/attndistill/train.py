@@ -36,6 +36,7 @@ from .models import (
     count_flops,
     count_params,
     pair_taps,
+    paired_teacher_blocks,
     spec_by_name,
 )
 from .optim import SGD
@@ -314,6 +315,7 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None)
     _check_tap_compatibility(teacher.spec, student_spec)
     dcfg = cfg.distill_config()
     need_teacher = dcfg.alpha < 1.0 or dcfg.beta > 0.0
+    teacher_blocks = paired_teacher_blocks(student_spec, teacher.spec)
 
     student = build_model(student_spec, np.random.default_rng([cfg.seed, 2]))
     state = S.init_mask(student, cfg.density, np.random.default_rng([cfg.seed, 3]),
@@ -351,6 +353,8 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None)
             if need_teacher:
                 with no_grad():
                     logits_t, taps_t = teacher.forward_with_taps(xb, training=False)
+                # the unpaired taps are freed before the student's graph is built
+                taps_t = [tap for tap in taps_t if (tap.stage, tap.block) in teacher_blocks]
             logits_s, taps_s = student.forward_with_taps(xb, training=True)
             if need_teacher:
                 pairs = pair_taps(taps_s, taps_t)

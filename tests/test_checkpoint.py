@@ -66,3 +66,46 @@ def test_no_leftover_temp_files(tmp_path):
     save_checkpoint(path, {}, {"w": np.zeros(4, dtype=np.float32)})
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def _corrupt_record(tmp_path, name, patch):
+    """A checkpoint with one float record and one mask record, with the
+    bytes after `name`'s name field passed through `patch`: offset 0 is its
+    kind, 1 its ndim, 2 onwards its u32 dims."""
+    path = tmp_path / "ckpt.atlt"
+    save_checkpoint(path, {}, {"param.alpha": np.ones((6, 5), dtype=np.float32)},
+                    {"mask.beta": np.ones((16, 12), dtype=np.float32)})
+    blob = bytearray(path.read_bytes())
+    at = blob.index(name.encode()) + len(name)
+    patch(blob, at)
+    path.write_bytes(bytes(blob))
+    return path
+
+
+def _raise_first_dim(blob, at):
+    blob[at + 2 : at + 6] = (0x7FFF0000).to_bytes(4, "little")
+
+
+def test_non_utf8_record_name_is_format_error(tmp_path):
+    def patch(blob, at):
+        blob[at - 1] = 0xFF
+
+    with pytest.raises(FormatError, match="record name"):
+        load_checkpoint(_corrupt_record(tmp_path, "param.alpha", patch))
+
+
+@pytest.mark.parametrize("name", ["param.alpha", "mask.beta"])
+def test_raised_dim_is_format_error_before_allocation(tmp_path, name):
+    # the declared shape asks for gigabytes; the payload length check
+    # rejects it before any array is made
+    with pytest.raises(FormatError, match="payload bytes"):
+        load_checkpoint(_corrupt_record(tmp_path, name, _raise_first_dim))
+
+
+def test_cli_eval_on_corrupt_record_prints_one_error_line(tmp_path, capsys):
+    from attndistill.cli import main as cli_main
+
+    path = _corrupt_record(tmp_path, "mask.beta", _raise_first_dim)
+    assert cli_main(["eval", "--ckpt", str(path), "--dataset", "synthetic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError: ") and err.count("\n") == 1

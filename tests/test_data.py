@@ -203,3 +203,18 @@ def test_augment_output_finite_any_seed(seed):
     out = augment(img, np.random.default_rng(seed))
     assert out.pixels.shape == (3, 32, 32)
     assert np.isfinite(out.pixels).all()
+
+
+def test_batched_augmentation_equals_per_image_augment():
+    ds = synthetic_dataset(57, 3, seed=4)
+    for seed in (0, 3, 11):
+        for epoch in (0, 1, 5):
+            rng = np.random.default_rng([seed, epoch])
+            order = rng.permutation(len(ds))
+            got = list(batches(ds, 20, seed=seed, epoch=epoch))
+            assert [len(yb) for _, yb in got] == [20, 20, 17]
+            for b, (xb, yb) in enumerate(got):
+                idx = order[20 * b : 20 * (b + 1)]
+                ref = np.stack([augment(ds[i], rng).pixels for i in idx])
+                assert xb.data.dtype == ref.dtype and xb.data.tobytes() == ref.tobytes()
+                assert np.array_equal(yb, ds.labels[idx])

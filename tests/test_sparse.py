@@ -397,3 +397,27 @@ def test_mode_mismatch_contract():
     state.p_e = 0.1
     with pytest.raises(ContractError):
         prune_regrow_epoch(state, m, opt)
+
+
+def test_column_budget_drift_raises_at_every_boundary():
+    m = _toy_student(seed=43)
+    state = init_mask(m, 0.5, np.random.default_rng(44), mode="column")
+    apply_mask(state, m)
+    opt = SGD(m.named_params(), lr=0.1, momentum=0.9)
+    from attndistill.sparse import _as_matrix
+
+    column = max(_as_matrix(mask).shape[0] for mask in state.masks.values())
+    state.target_nonzero += column  # exactly one column off: still allowed
+    state.accumulate_momentum(opt)
+    state.p_e = 0.0
+    column_prune_regrow_epoch(state, m, opt)
+    state.target_nonzero += 1  # the no-op boundary at p_e = 0 checks too
+    state.accumulate_momentum(opt)
+    with pytest.raises(ContractError, match="column budget"):
+        column_prune_regrow_epoch(state, m, opt)
+    # a target beyond every inactive column cannot be regrown to
+    state.target_nonzero = sum(mask.size for mask in state.masks.values()) + 2 * column
+    state.accumulate_momentum(opt)
+    state.p_e = 0.3
+    with pytest.raises(ContractError, match="column budget"):
+        column_prune_regrow_epoch(state, m, opt)

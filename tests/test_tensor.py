@@ -359,3 +359,231 @@ def test_full_student_block_finite_differences():
                      "s0.b0.bn2.gamma", "stem.w", "fc.w"):
             err = grad_check(f, params[name], coords=20, rng=np.random.default_rng(23))
             assert err <= 1e-4, (name, err)
+
+
+# --- lean autodiff graph: bit-exact against the formulations it replaced ---
+
+
+def _conv2d_reference(x, w, g, stride, pad):
+    """Output, input gradient and weight gradient of the full-im2col conv
+    that copies every input and scatters every input gradient."""
+    B, cin, H, W = x.shape
+    cout, _, kh, kw = w.shape
+    ho = (H + 2 * pad - kh) // stride + 1
+    wo = (W + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    cols = np.empty((B, cin, kh, kw, ho, wo), dtype=x.dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            cols[:, :, di, dj] = xp[:, :, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
+    cols2 = cols.reshape(B, cin * kh * kw, ho * wo)
+    wmat = w.reshape(cout, cin * kh * kw)
+    out = np.matmul(wmat[None], cols2).reshape(B, cout, ho, wo)
+    g2 = g.reshape(B, cout, ho * wo)
+    dw64 = np.zeros(wmat.shape, dtype=np.float64)
+    for b in range(B):
+        dw64 += g2[b] @ cols2[b].T
+    dcols = np.matmul(wmat.T[None], g2).reshape(B, cin, kh, kw, ho, wo)
+    dxp = np.zeros_like(xp)
+    for di in range(kh):
+        for dj in range(kw):
+            dxp[:, :, di : di + stride * ho : stride, dj : dj + stride * wo : stride] += dcols[:, :, di, dj]
+    dx = dxp[:, :, pad : pad + H, pad : pad + W] if pad else dxp
+    return out, dx, dw64.astype(g.dtype).reshape(w.shape)
+
+
+def _backward_with(out, g):
+    out.grad = None
+    T.tsum(T.mul(out, Tensor(g))).backward()
+
+
+@pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (1, 2, 0), (3, 1, 1)])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_conv2d_bit_exact_against_full_im2col(k, stride, pad, x_grad):
+    rng = np.random.default_rng([k, stride, pad])
+    x = rng.standard_normal((4, 6, 8, 8)).astype(np.float32)
+    x[0, 0, 0, :2] = -0.0
+    w = rng.standard_normal((5, 6, k, k)).astype(np.float32)
+    ho = (8 + 2 * pad - k) // stride + 1
+    g = rng.standard_normal((4, 5, ho, ho)).astype(np.float32)
+    g[:, :, ::2] = -0.0  # input gradients of exactly zero must come out as +0.0
+    xt, wt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True)
+    out = T.conv2d(xt, wt, stride=stride, pad=pad)
+    _backward_with(out, g)
+    ref_out, ref_dx, ref_dw = _conv2d_reference(x, w, g, stride, pad)
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert wt.grad.tobytes() == ref_dw.tobytes()
+    if x_grad:
+        assert np.ascontiguousarray(xt.grad).tobytes() == np.ascontiguousarray(ref_dx).tobytes()
+    else:
+        assert xt.grad is None
+
+
+def _batch_norm_reference(x, gamma, beta, rm, rv, training, g, momentum=0.1, eps=1e-5):
+    """Forward, running buffers and gradients of the batch norm that keeps
+    its normalized copy, with np.var for the batch variance."""
+    axes = (0, 2, 3) if x.ndim == 4 else (0,)
+    cshape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
+    n = x.size // x.shape[1]
+    if training:
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        rm *= 1.0 - momentum
+        rm += momentum * mean
+        rv *= 1.0 - momentum
+        rv += momentum * var * (n / max(n - 1, 1))
+    else:
+        mean, var = rm.astype(x.dtype), rv.astype(x.dtype)
+    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+    xhat = (x - mean.reshape(cshape)) * inv_std.reshape(cshape)
+    out = gamma.reshape(cshape) * xhat + beta.reshape(cshape)
+    dgamma = (g * xhat).sum(axis=axes)
+    dbeta = g.sum(axis=axes)
+    gs = g * gamma.reshape(cshape)
+    if training:
+        m1 = gs.mean(axis=axes, keepdims=True)
+        m2 = (gs * xhat).mean(axis=axes, keepdims=True)
+        dx = inv_std.reshape(cshape) * (gs - m1 - xhat * m2)
+    else:
+        dx = gs * inv_std.reshape(cshape)
+    return out, dx, dgamma, dbeta
+
+
+@pytest.mark.parametrize("shape", [(8, 16, 8, 8), (5, 3, 2, 7), (100, 8, 4, 4), (16, 10)])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_norm_bit_exact_against_kept_xhat(shape, training, dtype):
+    rng = np.random.default_rng(list(shape))
+    c = shape[1]
+    x = (rng.standard_normal(shape) * 3 + 1.5).astype(dtype)
+    gamma, beta = rng.standard_normal(c).astype(dtype), rng.standard_normal(c).astype(dtype)
+    rm, rv = rng.standard_normal(c).astype(dtype), rng.uniform(0.5, 2, c).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    ref_rm, ref_rv = rm.copy(), rv.copy()
+    ref = _batch_norm_reference(x, gamma, beta, ref_rm, ref_rv, training, g)
+    with precision(dtype):
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        out = T.batch_norm(xt, gt, bt, rm, rv, training)
+        _backward_with(out, g)
+    for got, want in zip((out.data, xt.grad, gt.grad, bt.grad, rm, rv), ref + (ref_rm, ref_rv)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_relu_gradient_on_special_values():
+    a = np.array([[-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-45, -1e-45, 2.5, -3.0]], dtype=np.float32)
+    g = np.arange(1, 10, dtype=np.float32).reshape(1, 9)
+    at = Tensor(a, requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        out = T.relu(at)
+        _backward_with(out, g)
+        ref_out = a * (a > 0)
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert at.grad.tobytes() == (g * (a > 0)).tobytes()
+
+
+def _grads(x, ws, rel_pos, g, cs, ps):
+    xt = Tensor(x, requires_grad=True)
+    wts = [Tensor(w, requires_grad=True) for w in ws]
+    _backward_with(T.local_attention(xt, *wts, Tensor(rel_pos), cs, ps), g)
+    return xt.grad, [w.grad for w in wts]
+
+
+@pytest.mark.parametrize("B,c,hw,heads,k", [(8, 64, 8, 8, 3), (100, 8, 8, 2, 3), (3, 12, 5, 4, 5)])
+def test_local_attention_grads_match_tensordot_formulation(B, c, hw, heads, k):
+    """Input and projection gradients against `np.matmul`/`np.tensordot` of
+    the gradient of the q/k/v projections. That gradient comes from the op
+    itself run on the projections with 0/1 selection matrices as weights:
+    both GEMMs through those matrices are exact, so the run has the same
+    logits and the same projection gradient."""
+    rng = np.random.default_rng([B, c, hw])
+    x = rng.standard_normal((B, c, hw, hw)).astype(np.float32)
+    ws = [(rng.standard_normal((c, c)) * c**-0.5).astype(np.float32) for _ in range(3)]
+    rel_pos = (rng.standard_normal((heads, 2 * k - 1, 2 * k - 1, c // heads)) * 0.3).astype(np.float32)
+    g = rng.standard_normal((B, c, hw, hw)).astype(np.float32)
+    cs, ps = c**-0.5, c**-0.25
+    dx, dws = _grads(x, ws, rel_pos, g, cs, ps)
+
+    w_all = np.concatenate(ws, axis=1)
+    xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).reshape(c, -1)
+    proj = (w_all.T @ xt).reshape(3 * c, hw, hw, B).transpose(3, 0, 1, 2)
+    select = np.eye(3 * c, dtype=np.float32)
+    dproj, _ = _grads(np.ascontiguousarray(proj), np.split(select, 3, axis=1), rel_pos, g, cs, ps)
+    dproj = dproj.reshape(B, 3 * c, hw * hw)
+    ref_dx = np.matmul(w_all, dproj).reshape(x.shape)
+    ref_dw = np.tensordot(x.reshape(B, c, hw * hw), dproj, axes=([0, 2], [0, 2]))
+    assert np.abs(dx - ref_dx).max() <= 1e-6 * np.abs(ref_dx).max()
+    for got, want in zip(dws, np.split(ref_dw, 3, axis=1)):
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+# --- lean autodiff graph: what a recorded op keeps beyond its output ---
+
+
+def _kept_bytes(op, *args, **kwargs):
+    """Bytes still allocated after `op` returns, less its output array:
+    the arrays its backward closure holds, plus a few small objects."""
+    import tracemalloc
+
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = op(*args, **kwargs)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert out.requires_grad
+    return kept - out.data.nbytes, out
+
+
+def _activation(shape, seed=0):
+    return Tensor(np.random.default_rng(seed).standard_normal(shape).astype(np.float32), requires_grad=True)
+
+
+SMALL = 16 * 1024  # Tensor objects, closures and per-channel vectors
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_keeps_no_full_size_array(training):
+    x = _activation((8, 64, 16, 16))  # 512 KB
+    c = x.shape[1]
+    gamma, beta = _activation((c,), 1), _activation((c,), 2)
+    rm, rv = np.zeros(c, np.float32), np.ones(c, np.float32)
+    kept, _ = _kept_bytes(T.batch_norm, x, gamma, beta, rm, rv, training)
+    assert kept < SMALL
+
+
+def test_relu_keeps_no_mask():
+    x = _activation((8, 64, 16, 16))
+    kept, _ = _kept_bytes(T.relu, x)
+    assert kept < SMALL
+
+
+def test_abspow_keeps_no_magnitude_copy():
+    x = _activation((8, 64, 16, 16))
+    kept, _ = _kept_bytes(T.abspow, x, 2.0)
+    assert kept < SMALL
+
+
+def test_pointwise_conv_keeps_no_copy_of_its_input():
+    x = _activation((8, 64, 16, 16))
+    kept, _ = _kept_bytes(T.conv2d, x, _activation((32, 64, 1, 1), 1))
+    assert kept < SMALL
+
+
+def test_padded_conv_keeps_its_columns_but_no_padded_copy():
+    x = _activation((8, 16, 16, 16))  # 128 KB; the padded copy would be 162 KB
+    kept, _ = _kept_bytes(T.conv2d, x, _activation((8, 16, 3, 3), 1), stride=1, pad=1)
+    assert kept < 9 * x.data.nbytes + SMALL
+
+
+def test_local_attention_keeps_queries_keys_values_and_weights():
+    B, c, hw, heads, k = 8, 64, 16, 8, 3
+    x = _activation((B, c, hw, hw))
+    ws = [_activation((c, c), s) for s in (1, 2, 3)]
+    rel_pos = _activation((heads, 2 * k - 1, 2 * k - 1, c // heads), 4)
+    kept, _ = _kept_bytes(T.local_attention, x, *ws, rel_pos, c**-0.5, c**-0.25)
+    unit = x.data.nbytes  # one c_out-channel map
+    q, kv_padded = unit, 2 * unit * (hw + k - 1) ** 2 // hw**2
+    weights = unit * k * k // (c // heads)
+    assert kept < q + kv_padded + weights + SMALL

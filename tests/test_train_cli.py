@@ -10,7 +10,15 @@ from attndistill.checkpoint import save_checkpoint
 from attndistill.cli import main as cli_main
 from attndistill.config import TrainConfig
 from attndistill.errors import ConfigError, FormatError
-from attndistill.models import build_model, count_params, toy_spec
+from attndistill.models import (
+    Tap,
+    build_model,
+    count_params,
+    pair_taps,
+    paired_teacher_blocks,
+    spec_by_name,
+    toy_spec,
+)
 from attndistill.train import (
     RunMetrics,
     evaluate,
@@ -293,3 +301,18 @@ def test_metrics_csv_read_write_roundtrip(tmp_path):
     rows = RunMetrics.read(str(path))
     assert rows[0]["total_loss"] == 1.5
     assert rows[0]["d:b.w"] == 0.3
+
+
+@pytest.mark.parametrize("student,teacher", [("student26", "teacher50"), ("toy", "toy")])
+def test_trimmed_teacher_taps_pair_as_the_full_lists(student, teacher):
+    s_spec = spec_by_name(student, "student", "hybrid", 10, 3, 8 if student == "student26" else 2)
+    t_spec = spec_by_name(teacher, "teacher", "conv", 10, 3, 8)
+    taps_s = [Tap(s, b, None) for s, n in enumerate(s_spec.blocks) for b in range(n)]
+    taps_t = [Tap(s, b, None) for s, n in enumerate(t_spec.blocks) for b in range(n)]
+    keep = paired_teacher_blocks(s_spec, t_spec)
+    trimmed = [tap for tap in taps_t if (tap.stage, tap.block) in keep]
+    full = pair_taps(taps_s, taps_t)
+    assert pair_taps(taps_s, trimmed) == full
+    assert len(trimmed) == len({id(t) for _, t in full})
+    if student == "student26":  # one tap per stage: the teacher's stage-final block
+        assert [(t.stage, t.block) for t in trimmed] == [(0, 2), (1, 3), (2, 5), (3, 2)]
