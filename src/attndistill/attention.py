@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
 
@@ -91,22 +91,6 @@ def init_attention_params(
 def attention_param_count(params: AttentionLayerParams) -> int:
     """Trainable scalars: 3*c_in*c_out projections + (2k-1)^2*c_out positions."""
     return 3 * params.c_in * params.c_out + (2 * params.extent - 1) ** 2 * params.c_out
-
-
-def neighborhood_extract(x: Tensor, k: int):
-    """Gather k x k neighborhoods of an NCHW map, with a validity mask.
-
-    Returns (patches, valid): patches is (B, H, W, k*k, C) with exact zeros
-    at out-of-image slots, valid is a boolean (H, W, k*k) array marking
-    in-bounds entries.
-    """
-    if k % 2 == 0:
-        raise ContractError(f"neighborhood extent must be odd, got {k}")
-    B, C, H, W = x.shape
-    bhwc = T.transpose(x, (0, 2, 3, 1))
-    patches = T.window_gather(bhwc, k)
-    valid = T.window_validity(H, W, k).reshape(H, W, k * k)
-    return patches, valid
 
 
 def local_self_attention(x: Tensor, params: AttentionLayerParams, return_weights: bool = False):

@@ -49,14 +49,6 @@ class Dataset:
     def __getitem__(self, i) -> LabeledImage:
         return LabeledImage(self.images[i], int(self.labels[i]))
 
-    def content_hash(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(self.images.tobytes())
-        h.update(self.labels.tobytes())
-        return h.hexdigest()
-
 
 def _normalize(raw01: np.ndarray, stats_key: str) -> np.ndarray:
     mean, std = DATASET_STATS[stats_key]

@@ -311,13 +311,6 @@ class Model:
                     out[f"{prefix}.{nm}"] = getattr(layer.p, nm)
         return out
 
-    def spatial_conv_count(self) -> int:
-        return sum(
-            1
-            for _, layer in self.named_layers()
-            if isinstance(layer, Conv2d) and layer.k > 1
-        )
-
 
 def build_model(spec: ModelSpec, rng) -> Model:
     if isinstance(rng, (int, np.integer)):

@@ -596,9 +596,9 @@ def batch_norm(
 # --- windowed attention primitives ---
 
 # window_gather, nbhd_dot, relpos_dot and nbhd_mix are the unfused form of
-# `local_attention`. Only `attention.neighborhood_extract` and the gradient
-# suite call them, but the benchmark's tracer (perfbench/probe.py) wraps
-# each of these names, so they stay until it stops doing so.
+# `local_attention`. Training never calls them; the gradient suite and the
+# tests do, and the benchmark's tracer (perfbench/probe.py) wraps each of
+# these names, so they stay until it stops doing so.
 
 
 def window_gather(x: Tensor, k: int) -> Tensor:

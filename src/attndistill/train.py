@@ -1,10 +1,12 @@
-"""Teacher pretraining and single-pass sparse distillation.
+"""Teacher pretraining and single-pass sparse distillation, in one epoch loop.
 
-There is exactly one training phase per run: `train_teacher` fits the
-convolutional teacher with plain cross-entropy, and `sparse_distill`
-trains the student once, pruning and regrowing its masks at every epoch
-boundary while distilling from the frozen teacher. No fine-tuning stage
-exists anywhere in this module.
+There is exactly one training phase per run, and one loop (`_fit`) runs
+it. A run may distill from a frozen teacher and may carry sparse masks;
+both are optional. `train_teacher` fits the convolutional teacher as a
+run with neither, under plain cross-entropy (alpha=1, beta=0).
+`sparse_distill` trains the student once, distilling from the frozen
+teacher and pruning and regrowing its masks at every epoch boundary. No
+fine-tuning stage exists anywhere in this module.
 
 Per-epoch metrics go to a CSV file (one row per completed epoch) whose
 `density` column tracks the prunable-weight density (the budget d) and
@@ -173,16 +175,9 @@ def save_model_checkpoint(path, model: Model, cfg: TrainConfig, kind: str, epoch
     return path
 
 
-def model_from_checkpoint(path):
-    """Rebuild the model (and masks, if any) stored in a checkpoint."""
-    manifest, arrays, masks = load_checkpoint(path)
-    try:
-        spec = _spec_from_dict(manifest["model_spec"])
-    except (KeyError, TypeError) as e:
-        raise FormatError(f"checkpoint {path} has no valid model_spec ({type(e).__name__}: {e})") from e
-    model = build_model(spec, np.random.default_rng(0))
-    params = model.named_params()
-    for name, t in params.items():
+def _copy_arrays(model: Model, arrays: dict, path):
+    """Copy a checkpoint's parameters (all required) and buffers into `model`."""
+    for name, t in model.named_params().items():
         key = f"param.{name}"
         if key not in arrays:
             raise ContractError(f"checkpoint {path} is missing parameter {name}")
@@ -193,6 +188,17 @@ def model_from_checkpoint(path):
         key = f"buf.{name}"
         if key in arrays:
             np.copyto(buf, arrays[key])
+
+
+def model_from_checkpoint(path):
+    """Rebuild the model (and masks, if any) stored in a checkpoint."""
+    manifest, arrays, masks = load_checkpoint(path)
+    try:
+        spec = _spec_from_dict(manifest["model_spec"])
+    except (KeyError, TypeError) as e:
+        raise FormatError(f"checkpoint {path} has no valid model_spec ({type(e).__name__}: {e})") from e
+    model = build_model(spec, np.random.default_rng(0))
+    _copy_arrays(model, arrays, path)
     return model, manifest, masks, arrays
 
 
@@ -231,57 +237,118 @@ def evaluate(ckpt_path, dataset: D.Dataset, batch_size: int = 100) -> float:
     return evaluate_model(model, dataset, batch_size)
 
 
-# --- training entry points ---
+# --- the epoch loop ---
+
+
+_CE_ONLY = DistillConfig(alpha=1.0, beta=0.0)
+
+# kind of run -> (metrics file and progress-line label, manifest phase)
+_RUNS = {"teacher": ("teacher", "teacher-train"), "student": ("distill", "sparse-distill")}
 
 
 def _density_metrics(model: Model, state: S.SparseState | None):
-    total, nonzero = count_params(model, state.masks if state else None)
     if state is None:
         return 1.0, 1.0, {}
+    total, nonzero = count_params(model, state.masks)
     prunable = sum(m.size for m in state.masks.values())
     return state.nonzero() / prunable, nonzero / total, state.layer_densities()
 
 
+def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfig,
+         train_ds, test_ds, teacher: Model | None = None, state: S.SparseState | None = None,
+         start_epoch: int = 0, stop_after: int | None = None):
+    """Train `model` from `start_epoch`; returns (checkpoint path, RunMetrics).
+
+    The frozen `teacher` runs only when the loss reads it. A sparse `state`
+    re-applies its mask after every step, prunes and regrows at every
+    epoch boundary and saves the rolling `<kind>_last.atlt` each epoch,
+    which `stop_after` returns once that many epochs have completed.
+    """
+    label, phase = _RUNS[kind]
+    need_teacher = teacher is not None and (dcfg.alpha < 1.0 or dcfg.beta > 0.0)
+    teacher_blocks = paired_teacher_blocks(model.spec, teacher.spec) if need_teacher else set()
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    metrics = RunMetrics(layer_names=state.layer_names if state else ())
+    metrics_path = os.path.join(cfg.out_dir, f"{label}_metrics.csv")
+    last_path = os.path.join(cfg.out_dir, f"{kind}_last.atlt")
+    acc = 0.0
+    for epoch in range(start_epoch, cfg.epochs):
+        opt.lr = lr_at(cfg, epoch)
+        t0 = time.monotonic()
+        sums = {"total": 0.0, "ce": 0.0, "kd": 0.0, "at": 0.0}
+        batches_seen = 0
+        for t, (xb, yb) in enumerate(D.batches(train_ds, cfg.batch_size, cfg.seed, epoch)):
+            logits_t, taps_t = None, []
+            if need_teacher:
+                with no_grad():
+                    logits_t, taps_t = teacher.forward_with_taps(xb, training=False)
+                # the unpaired taps are freed before the student's graph is built
+                taps_t = [tap for tap in taps_t if (tap.stage, tap.block) in teacher_blocks]
+            logits, taps = model.forward_with_taps(xb, training=True)
+            pairs = pair_taps(taps, taps_t) if need_teacher else []
+            ce, kd, at = loss_terms(yb, logits, logits_t, [p[0].value for p in pairs],
+                                    [p[1].value for p in pairs], dcfg)
+            loss = combine_terms(ce, kd, at, dcfg)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise TrainingDiverged(epoch, t, value)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            if state is not None:
+                S.apply_mask(state, model)
+                state.accumulate_momentum(opt)
+            # the logged total recombines the logged components in float64,
+            # so it does not carry the float32 rounding of `loss`
+            ce_v, kd_v, at_v = (0.0 if v is None else v.item() for v in (ce, kd, at))
+            total = dcfg.alpha * ce_v + (1.0 - dcfg.alpha) * kd_v + dcfg.beta / 2.0 * at_v
+            for k, v in zip(sums, (total, ce_v, kd_v, at_v)):
+                sums[k] += v
+            batches_seen += 1
+        # accuracy reflects the state the epoch trained into; the boundary
+        # mask update below prepares the *next* epoch, so the final epoch
+        # keeps its trained topology
+        acc = evaluate_model(model, test_ds, cfg.batch_size)
+        if state is not None and epoch < cfg.epochs - 1:
+            state.p_e = S.decay_prune_rate(cfg.prune_rate0, epoch, cfg.epochs)
+            boundary = S.prune_regrow_epoch if state.mode == "irregular" else S.column_prune_regrow_epoch
+            boundary(state, model, opt)
+        elif state is not None:
+            state.finalize_epoch_momentum()
+        density, global_density, layer_d = _density_metrics(model, state)
+        wall = 0.0 if cfg.deterministic else time.monotonic() - t0
+        mean = {k: v / batches_seen for k, v in sums.items()}
+        metrics.add_row(epoch=epoch, lr=opt.lr, total_loss=mean["total"], ce_loss=mean["ce"],
+                        kd_loss=mean["kd"], at_loss=mean["at"], test_acc=acc, density=density,
+                        global_density=global_density, wall_time=wall,
+                        **{f"d:{n}": d for n, d in layer_d.items()})
+        metrics.write(metrics_path)
+        if state is not None:
+            save_model_checkpoint(last_path, model, cfg, kind, epoch + 1, phases=[phase],
+                                  state=state, optimizer=opt)
+        print(f"[{label}] epoch {epoch + 1}/{cfg.epochs} loss {mean['total']:.4f} "
+              f"acc {acc:.4f} density {density:.4f}")
+        if stop_after is not None and epoch + 1 >= stop_after:
+            return last_path, metrics
+    ckpt = os.path.join(cfg.out_dir, f"{kind}.atlt")
+    # only sparse runs resume, so only they store the optimizer state
+    save_model_checkpoint(ckpt, model, cfg, kind, cfg.epochs, phases=[phase],
+                          extra={"final_acc": acc}, state=state,
+                          optimizer=opt if state is not None else None)
+    return ckpt, metrics
+
+
+# --- training entry points ---
+
+
 def train_teacher(cfg: TrainConfig):
-    """Cross-entropy training of the convolutional teacher; returns
-    (checkpoint path, RunMetrics)."""
+    """Cross-entropy training of the convolutional teacher: the epoch loop
+    with no teacher and no masks. Returns (checkpoint path, RunMetrics)."""
     train_ds, test_ds = load_datasets(cfg)
     spec = spec_by_name(cfg.depth, "teacher", "conv", cfg.classes, cfg.extent, cfg.heads)
     model = build_model(spec, np.random.default_rng([cfg.seed, 1]))
     opt = SGD(model.named_params(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    metrics = RunMetrics()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    metrics_path = os.path.join(cfg.out_dir, "teacher_metrics.csv")
-    acc = 0.0
-    for epoch in range(cfg.epochs):
-        opt.lr = lr_at(cfg, epoch)
-        t0 = time.monotonic()
-        total, batches_seen = 0.0, 0
-        for t, (xb, yb) in enumerate(D.batches(train_ds, cfg.batch_size, cfg.seed, epoch)):
-            logits, _ = model.forward_with_taps(xb, training=True)
-            ce, _, _ = loss_terms(yb, logits, None, [], [], _CE_ONLY)
-            value = ce.item()
-            if not math.isfinite(value):
-                raise TrainingDiverged(epoch, t, value)
-            opt.zero_grad()
-            ce.backward()
-            opt.step()
-            total += value
-            batches_seen += 1
-        acc = evaluate_model(model, test_ds, cfg.batch_size)
-        wall = 0.0 if cfg.deterministic else time.monotonic() - t0
-        mean_loss = total / batches_seen
-        metrics.add_row(epoch=epoch, lr=opt.lr, total_loss=mean_loss, ce_loss=mean_loss,
-                        test_acc=acc, density=1.0, global_density=1.0, wall_time=wall)
-        metrics.write(metrics_path)
-        print(f"[teacher] epoch {epoch + 1}/{cfg.epochs} loss {mean_loss:.4f} acc {acc:.4f}")
-    ckpt = os.path.join(cfg.out_dir, "teacher.atlt")
-    save_model_checkpoint(ckpt, model, cfg, "teacher", cfg.epochs,
-                          phases=["teacher-train"], extra={"final_acc": acc})
-    return ckpt, metrics
-
-
-_CE_ONLY = DistillConfig(alpha=1.0, beta=0.0)
+    return _fit(cfg, "teacher", model, opt, _CE_ONLY, train_ds, test_ds)
 
 
 def _check_tap_compatibility(teacher_spec: ModelSpec, student_spec: ModelSpec):
@@ -293,17 +360,40 @@ def _check_tap_compatibility(teacher_spec: ModelSpec, student_spec: ModelSpec):
         raise ConfigError("teacher and student class counts differ")
 
 
+# config fields a resumed run may change: they move no part of the trajectory
+_RESUME_FREE = ("out_dir", "data_dir", "deterministic")
+
+
+def _resume_epoch(manifest: dict, cfg: TrainConfig, path) -> int:
+    """The epoch to resume from; refuses a checkpoint that is not an
+    unfinished student run of `cfg`."""
+    if manifest.get("kind") != "student":
+        raise ConfigError(f"resume checkpoint {path} is a {manifest.get('kind')!r} checkpoint, "
+                          "not a student")
+    stored, now = manifest.get("config"), cfg.to_dict()
+    if not isinstance(stored, dict):
+        raise ConfigError(f"resume checkpoint {path} records no run config")
+    differ = [f"{k} {stored.get(k)!r} -> {now.get(k)!r}" for k in sorted(set(stored) | set(now))
+              if k not in _RESUME_FREE and stored.get(k) != now.get(k)]
+    if differ:
+        raise ConfigError(f"resume checkpoint {path} is from a different run: {', '.join(differ)}")
+    epoch = manifest.get("epoch")
+    if not isinstance(epoch, int):
+        raise FormatError(f"resume checkpoint {path} records no epoch")
+    if epoch >= cfg.epochs:
+        raise ConfigError(f"resume checkpoint {path} has finished all {cfg.epochs} epochs")
+    return epoch
+
+
 def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None):
-    """Single-pass sparse distillation of a student against a frozen teacher.
+    """Single-pass sparse distillation of a student against a frozen
+    teacher: the epoch loop with both. Returns (checkpoint path, RunMetrics).
 
-    Per batch: forward both models, combined loss, backward, SGD step,
-    re-apply the mask, accumulate momentum statistics. Per epoch boundary:
-    decay the prune rate, prune and regrow (mode-dependent), evaluate, and
-    append a metrics row. Returns (checkpoint path, RunMetrics).
-
-    `resume` continues from a rolling per-epoch checkpoint; `stop_after`
-    interrupts the run once that many epochs have completed (the rolling
-    checkpoint then resumes it), which is how resumability is exercised.
+    `resume` continues from a rolling per-epoch checkpoint of the same run
+    (the config may differ only in `out_dir`, `data_dir` and
+    `deterministic`); `stop_after` interrupts the run once that many
+    epochs have completed (the rolling checkpoint then resumes it), which
+    is how resumability is exercised.
     """
     train_ds, test_ds = load_datasets(cfg)
     teacher, t_manifest, _, _ = model_from_checkpoint(teacher_ckpt)
@@ -313,10 +403,6 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None)
     student_spec = spec_by_name(cfg.depth, "student", cfg.variant, cfg.classes,
                                 cfg.extent, cfg.heads, cfg.pos_scale)
     _check_tap_compatibility(teacher.spec, student_spec)
-    dcfg = cfg.distill_config()
-    need_teacher = dcfg.alpha < 1.0 or dcfg.beta > 0.0
-    teacher_blocks = paired_teacher_blocks(student_spec, teacher.spec)
-
     student = build_model(student_spec, np.random.default_rng([cfg.seed, 2]))
     state = S.init_mask(student, cfg.density, np.random.default_rng([cfg.seed, 3]),
                         mode=cfg.prune_mode, prune_rate0=cfg.prune_rate0,
@@ -324,104 +410,15 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None)
     S.audit_coverage(state, student)
     S.apply_mask(state, student)
     opt = SGD(student.named_params(), cfg.lr, cfg.momentum, cfg.weight_decay)
-
     start_epoch = 0
     if resume is not None:
-        r_model, r_manifest, r_masks, r_arrays = model_from_checkpoint(resume)
-        if r_manifest["model_spec"] != _spec_dict(student_spec):
-            raise ConfigError("resume checkpoint was built from a different student spec")
-        for name, t in student.named_params().items():
-            np.copyto(t.data, r_model.named_params()[name].data)
-        for name, buf in student.named_buffers().items():
-            np.copyto(buf, r_model.named_buffers()[name])
-        opt.load_state_arrays(r_arrays)
-        state = _restore_sparse_state(r_manifest, r_masks)
-        start_epoch = int(r_manifest["epoch"])
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    metrics = RunMetrics(layer_names=state.layer_names)
-    metrics_path = os.path.join(cfg.out_dir, "distill_metrics.csv")
-    last_path = os.path.join(cfg.out_dir, "student_last.atlt")
-    acc = 0.0
-    for epoch in range(start_epoch, cfg.epochs):
-        opt.lr = lr_at(cfg, epoch)
-        t0 = time.monotonic()
-        sums = {"total": 0.0, "ce": 0.0, "kd": 0.0, "at": 0.0}
-        batches_seen = 0
-        for t, (xb, yb) in enumerate(D.batches(train_ds, cfg.batch_size, cfg.seed, epoch)):
-            logits_t, taps_t = (None, [])
-            if need_teacher:
-                with no_grad():
-                    logits_t, taps_t = teacher.forward_with_taps(xb, training=False)
-                # the unpaired taps are freed before the student's graph is built
-                taps_t = [tap for tap in taps_t if (tap.stage, tap.block) in teacher_blocks]
-            logits_s, taps_s = student.forward_with_taps(xb, training=True)
-            if need_teacher:
-                pairs = pair_taps(taps_s, taps_t)
-                taps_s_m = [p[0].value for p in pairs]
-                taps_t_m = [p[1].value for p in pairs]
-            else:
-                taps_s_m, taps_t_m = [], []
-            ce, kd, at = loss_terms(yb, logits_s, logits_t, taps_s_m, taps_t_m, dcfg)
-            loss = combine_terms(ce, kd, at, dcfg)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingDiverged(epoch, t, value)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            S.apply_mask(state, student)
-            state.accumulate_momentum(opt)
-            # the logged total recombines the logged components in float64,
-            # so it does not carry the float32 rounding of `loss`
-            ce_v = ce.item()
-            kd_v = kd.item() if kd is not None else 0.0
-            at_v = at.item() if at is not None else 0.0
-            sums["total"] += dcfg.alpha * ce_v + (1.0 - dcfg.alpha) * kd_v + dcfg.beta / 2.0 * at_v
-            sums["ce"] += ce_v
-            sums["kd"] += kd_v
-            sums["at"] += at_v
-            batches_seen += 1
-        # accuracy reflects the state the epoch trained into; the boundary
-        # mask update below prepares the *next* epoch, so the final epoch
-        # keeps its trained topology
-        acc = evaluate_model(student, test_ds, cfg.batch_size)
-        if epoch < cfg.epochs - 1:
-            state.p_e = S.decay_prune_rate(cfg.prune_rate0, epoch, cfg.epochs)
-            if state.mode == "irregular":
-                S.prune_regrow_epoch(state, student, opt)
-            else:
-                S.column_prune_regrow_epoch(state, student, opt)
-        else:
-            state.finalize_epoch_momentum()
-        density, global_density, layer_d = _density_metrics(student, state)
-        wall = 0.0 if cfg.deterministic else time.monotonic() - t0
-        row = {
-            "epoch": epoch,
-            "lr": opt.lr,
-            "total_loss": sums["total"] / batches_seen,
-            "ce_loss": sums["ce"] / batches_seen,
-            "kd_loss": sums["kd"] / batches_seen,
-            "at_loss": sums["at"] / batches_seen,
-            "test_acc": acc,
-            "density": density,
-            "global_density": global_density,
-            "wall_time": wall,
-        }
-        row.update({f"d:{n}": d for n, d in layer_d.items()})
-        metrics.add_row(**row)
-        metrics.write(metrics_path)
-        save_model_checkpoint(last_path, student, cfg, "student", epoch + 1,
-                              phases=["sparse-distill"], state=state, optimizer=opt)
-        print(f"[distill] epoch {epoch + 1}/{cfg.epochs} loss {row['total_loss']:.4f} "
-              f"acc {acc:.4f} density {density:.4f}")
-        if stop_after is not None and epoch + 1 >= stop_after:
-            return last_path, metrics
-    ckpt = os.path.join(cfg.out_dir, "student.atlt")
-    save_model_checkpoint(ckpt, student, cfg, "student", cfg.epochs,
-                          phases=["sparse-distill"], extra={"final_acc": acc},
-                          state=state, optimizer=opt)
-    return ckpt, metrics
+        manifest, arrays, masks = load_checkpoint(resume)
+        start_epoch = _resume_epoch(manifest, cfg, resume)
+        _copy_arrays(student, arrays, resume)
+        opt.load_state_arrays(arrays)
+        state = _restore_sparse_state(manifest, masks)
+    return _fit(cfg, "student", student, opt, cfg.distill_config(), train_ds, test_ds,
+                teacher=teacher, state=state, start_epoch=start_epoch, stop_after=stop_after)
 
 
 # --- accounting report ---

@@ -7,7 +7,6 @@ from attndistill.attention import (
     attention_param_count,
     init_attention_params,
     local_self_attention,
-    neighborhood_extract,
 )
 from attndistill.errors import ConfigError, ContractError, ShapeError
 from attndistill.tensor import Tensor, grad_check, precision
@@ -43,16 +42,24 @@ def brute_force_attention(xd, p):
     return out
 
 
+def neighborhoods(x: np.ndarray, k: int):
+    """k x k neighborhoods of an NCHW map as (B, H, W, k*k, C) patches, plus
+    the (H, W, k*k) in-bounds mask: `window_gather` on the BHWC layout."""
+    _, _, h, w = x.shape
+    patches = T.window_gather(Tensor(x.transpose(0, 2, 3, 1)), k)
+    return patches, T.window_validity(h, w, k).reshape(h, w, k * k)
+
+
 def test_neighborhood_extract_k1_is_identity():
     x = np.random.default_rng(0).standard_normal((2, 3, 4, 4)).astype(np.float32)
-    patches, valid = neighborhood_extract(Tensor(x), 1)
+    patches, valid = neighborhoods(x, 1)
     assert patches.shape == (2, 4, 4, 1, 3)
     assert valid.all()
     assert np.allclose(patches.data[:, :, :, 0, :], x.transpose(0, 2, 3, 1))
 
 
 def test_neighborhood_extract_single_pixel():
-    patches, valid = neighborhood_extract(Tensor(np.full((1, 1, 1, 1), 5.0)), 3)
+    patches, valid = neighborhoods(np.full((1, 1, 1, 1), 5.0), 3)
     assert patches.shape == (1, 1, 1, 9, 1)
     assert valid.sum() == 1 and valid[0, 0, 4]
     assert patches.data[0, 0, 0, 4, 0] == 5.0
@@ -61,7 +68,7 @@ def test_neighborhood_extract_single_pixel():
 
 def test_neighborhood_extract_ramp_corner():
     ramp = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-    patches, valid = neighborhood_extract(Tensor(ramp), 3)
+    patches, valid = neighborhoods(ramp, 3)
     # at (0,0) only the {0,1}x{0,1} window is in bounds
     got = patches.data[0, 0, 0, :, 0]
     for d, (di, dj) in enumerate((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)):
@@ -76,7 +83,7 @@ def test_neighborhood_extract_ramp_corner():
 
 def test_neighborhood_extract_rejects_even_extent():
     with pytest.raises(ContractError):
-        neighborhood_extract(Tensor(np.zeros((1, 1, 4, 4))), 2)
+        neighborhoods(np.zeros((1, 1, 4, 4)), 2)
 
 
 def test_k1_attention_is_value_projection():

@@ -3,6 +3,7 @@ import pytest
 
 from attndistill.errors import ConfigError, ContractError, ShapeError
 from attndistill.models import (
+    Conv2d,
     ModelSpec,
     build_model,
     count_params,
@@ -32,14 +33,18 @@ def test_toy_teacher_and_student_tap_shapes_align():
         assert s_tap.value.shape == t_tap.value.shape
 
 
+def _spatial_convs(model):
+    return [n for n, layer in model.named_layers() if isinstance(layer, Conv2d) and layer.k > 1]
+
+
 def test_hybrid_has_exactly_one_spatial_conv():
     _, student = _toy_pair()
-    assert student.spatial_conv_count() == 1
+    assert len(_spatial_convs(student)) == 1
 
 
 def test_homogeneous_has_no_spatial_conv():
     m = build_model(toy_spec("student", "homogeneous"), np.random.default_rng(3))
-    assert m.spatial_conv_count() == 0
+    assert _spatial_convs(m) == []
 
 
 def test_forward_tap_count_and_logits_shape():

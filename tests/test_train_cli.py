@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from attndistill.checkpoint import save_checkpoint
+from attndistill.checkpoint import load_checkpoint, save_checkpoint
 from attndistill.cli import main as cli_main
 from attndistill.config import TrainConfig
 from attndistill.errors import ConfigError, FormatError
@@ -128,6 +128,63 @@ def test_resume_reproduces_uninterrupted_rows(tmp_path, tiny_teacher):
         ref = target[int(row["epoch"])]
         for col in ("total_loss", "ce_loss", "kd_loss", "at_loss", "test_acc", "density"):
             assert row[col] == pytest.approx(ref[col], abs=1e-7), (col, row["epoch"])
+
+
+def test_teacher_run_has_no_distillation_and_no_masks(tiny_teacher):
+    """The teacher goes through the distillation loop with no teacher and no
+    masks; its artifacts are those of plain cross-entropy training."""
+    written = RunMetrics.read(os.path.join(tiny_teacher["cfg"].out_dir, "teacher_metrics.csv"))
+    for row in tiny_teacher["metrics"].rows + written:
+        assert row["total_loss"] == row["ce_loss"]  # bit for bit
+        assert row["kd_loss"] == row["at_loss"] == 0.0
+        assert row["density"] == row["global_density"] == 1.0
+    assert sorted(os.listdir(tiny_teacher["cfg"].out_dir)) == ["teacher.atlt", "teacher_metrics.csv"]
+    manifest, arrays, masks = load_checkpoint(tiny_teacher["ckpt"])
+    assert not [k for k in arrays if k.startswith("opt.")]
+    assert masks == {} and manifest["sparse"] is None
+
+
+RESUMED_RUN = dict(epochs=2, lr=0.01, lr_drops=(), variant="hybrid", alpha=0.1, beta=10.0, density=0.5)
+
+
+@pytest.fixture(scope="module")
+def interrupted_run(tmp_path_factory, tiny_teacher):
+    out = tmp_path_factory.mktemp("interrupted")
+    sparse_distill(tiny_config(out, **RESUMED_RUN), tiny_teacher["ckpt"], stop_after=1)
+    return str(out / "student_last.atlt")
+
+
+@pytest.mark.parametrize("field,value", [("seed", 8), ("density", 0.9), ("epochs", 3), ("alpha", 0.5)])
+def test_resume_refuses_a_different_run(tmp_path, tiny_teacher, interrupted_run, field, value):
+    cfg = tiny_config(tmp_path, **dict(RESUMED_RUN, **{field: value}))
+    with pytest.raises(ConfigError, match=f"different run: {field} "):
+        sparse_distill(cfg, tiny_teacher["ckpt"], resume=interrupted_run)
+    assert not os.listdir(tmp_path)
+
+
+def test_resume_refuses_a_teacher_checkpoint(tmp_path, tiny_teacher):
+    cfg = tiny_config(tmp_path, **RESUMED_RUN)
+    with pytest.raises(ConfigError, match="not a student"):
+        sparse_distill(cfg, tiny_teacher["ckpt"], resume=tiny_teacher["ckpt"])
+
+
+def test_resume_refuses_a_checkpoint_without_config(tmp_path, tiny_teacher, interrupted_run):
+    manifest, arrays, masks = load_checkpoint(interrupted_run)
+    del manifest["config"]
+    path = str(tmp_path / "noconfig.atlt")
+    save_checkpoint(path, manifest, arrays, masks)
+    cfg = tiny_config(tmp_path / "out", **RESUMED_RUN)
+    with pytest.raises(ConfigError, match="no run config"):
+        sparse_distill(cfg, tiny_teacher["ckpt"], resume=path)
+
+
+def test_resume_refuses_a_finished_run(tmp_path, tiny_teacher):
+    cfg = tiny_config(tmp_path, **RESUMED_RUN)
+    sparse_distill(cfg, tiny_teacher["ckpt"])
+    final = (tmp_path / "student.atlt").read_bytes()
+    with pytest.raises(ConfigError, match="finished"):
+        sparse_distill(cfg, tiny_teacher["ckpt"], resume=str(tmp_path / "student_last.atlt"))
+    assert (tmp_path / "student.atlt").read_bytes() == final
 
 
 def test_column_mode_distill_end_to_end(tmp_path, tiny_teacher):
