@@ -68,8 +68,6 @@ def at_loss(taps_s, taps_t, p: float = 2.0) -> Tensor:
         raise ContractError(f"tap counts differ: {len(taps_s)} vs {len(taps_t)}")
     total = None
     for a_s, a_t in zip(taps_s, taps_t):
-        a_s = a_s.value if hasattr(a_s, "value") else a_s
-        a_t = a_t.value if hasattr(a_t, "value") else a_t
         psi_s = attention_map(a_s, p)
         psi_t = attention_map(a_t.detach() if isinstance(a_t, Tensor) else a_t, p)
         if psi_s.shape != psi_t.shape:

@@ -19,7 +19,6 @@ excluded; this convention is applied to teachers and students alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -213,12 +212,6 @@ class Bottleneck:
         return pairs
 
 
-class Tap(NamedTuple):
-    stage: int
-    block: int
-    value: Tensor
-
-
 class Model:
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         self.spec = spec
@@ -228,41 +221,33 @@ class Model:
             self.stem = Conv2d(3, spec.stem_out, 3, 1, rng)
         self.stem_bn = BatchNorm(spec.stem_out)
         self.stages = []
-        cin = spec.stem_out
+        cin, h = spec.stem_out, spec.input_hw
+        self.stem.h_in = self.stem.h_out = h
         for s, (width, nblocks) in enumerate(zip(spec.widths, spec.blocks)):
             blocks = []
             for b in range(nblocks):
                 stride = 2 if (s > 0 and b == 0) else 1
-                blocks.append(Bottleneck(spec, cin, width, stride, rng))
-                cin = blocks[-1].out_channels
-            self.stages.append(blocks)
-        self.fc = Linear(cin, spec.classes, rng)
-        self._annotate_resolutions()
-
-    def _annotate_resolutions(self):
-        h = self.spec.input_hw
-        self.stem.h_in, self.stem.h_out = h, h
-        for s, blocks in enumerate(self.stages):
-            for b, blk in enumerate(blocks):
-                stride = 2 if (s > 0 and b == 0) else 1
-                blk.conv1.h_in = blk.conv1.h_out = h
-                blk.spatial.h_in = h
-                blk.spatial.h_out = h // stride
+                blk = Bottleneck(spec, cin, width, stride, rng)
+                blk.conv1.h_in = blk.conv1.h_out = blk.spatial.h_in = h
                 if blk.down is not None:
                     blk.down.h_in, blk.down.h_out = h, h // stride
-                h = h // stride
-                blk.conv3.h_in = blk.conv3.h_out = h
+                h //= stride
+                blk.spatial.h_out = blk.conv3.h_in = blk.conv3.h_out = h
+                blocks.append(blk)
+                cin = blk.out_channels
+            self.stages.append(blocks)
+        self.fc = Linear(cin, spec.classes, rng)
 
     def forward_with_taps(self, x: Tensor, training: bool = False):
-        """Run the network, returning (logits, taps after every block)."""
+        """Run the network, returning (logits, every block's output in network order)."""
         if x.ndim != 4 or x.shape[1] != 3 or x.shape[2] != self.spec.input_hw:
             raise ShapeError(f"expected (B, 3, {self.spec.input_hw}, {self.spec.input_hw}), got {x.shape}")
         h = T.relu(self.stem_bn.forward(self.stem.forward(x), training))
         taps = []
-        for s, blocks in enumerate(self.stages):
-            for b, blk in enumerate(blocks):
+        for blocks in self.stages:
+            for blk in blocks:
                 h = blk.forward(h, training)
-                taps.append(Tap(s, b, h))
+                taps.append(h)
         pooled = T.global_avg_pool(h)
         return self.fc.forward(pooled), taps
 
@@ -318,37 +303,21 @@ def build_model(spec: ModelSpec, rng) -> Model:
     return Model(spec, rng)
 
 
-def _stage_pairs(n_student: int, n_teacher: int):
-    """(student block, teacher block) pairs within one stage: block for
-    block when the counts are equal, otherwise only the stage-final taps,
-    which guarantees compatible spatial sizes."""
-    if n_student == n_teacher:
-        return [(b, b) for b in range(n_student)]
-    return [(n_student - 1, n_teacher - 1)]
-
-
-def pair_taps(student_taps, teacher_taps):
-    """Match taps stage by stage (see `_stage_pairs`)."""
-    by_stage_s, by_stage_t = {}, {}
-    for tap in student_taps:
-        by_stage_s.setdefault(tap.stage, []).append(tap)
-    for tap in teacher_taps:
-        by_stage_t.setdefault(tap.stage, []).append(tap)
-    if by_stage_s.keys() != by_stage_t.keys():
-        raise ContractError("teacher and student stage counts differ")
-    pairs = []
-    for s in sorted(by_stage_s):
-        st, tt = by_stage_s[s], by_stage_t[s]
-        pairs.extend((st[i], tt[j]) for i, j in _stage_pairs(len(st), len(tt)))
+def tap_pairs(student_spec: ModelSpec, teacher_spec: ModelSpec) -> list:
+    """(student, teacher) indices into the flat `forward_with_taps` tap
+    lists, stage by stage: block for block when a stage's block counts are
+    equal, otherwise only the stage-final taps, which guarantees compatible
+    spatial sizes."""
+    if len(student_spec.blocks) != len(teacher_spec.blocks):
+        raise ConfigError("teacher and student stage counts differ; taps cannot pair")
+    pairs, i, j = [], 0, 0
+    for ns, nt in zip(student_spec.blocks, teacher_spec.blocks):
+        if ns == nt:
+            pairs += [(i + b, j + b) for b in range(ns)]
+        else:
+            pairs.append((i + ns - 1, j + nt - 1))
+        i, j = i + ns, j + nt
     return pairs
-
-
-def paired_teacher_blocks(student_spec: ModelSpec, teacher_spec: ModelSpec) -> set:
-    """(stage, block) of every teacher tap that `pair_taps` pairs with a
-    student tap. Dropping the other teacher taps leaves the pairs unchanged:
-    a trimmed stage keeps one tap, which pairs with the student's last."""
-    return {(s, j) for s, (ns, nt) in enumerate(zip(student_spec.blocks, teacher_spec.blocks))
-            for _, j in _stage_pairs(ns, nt)}
 
 
 def count_params(model: Model, masks: dict | None = None):
@@ -357,7 +326,7 @@ def count_params(model: Model, masks: dict | None = None):
     total = sum(t.size for t in params.values())
     if masks is None:
         return total, total
-    prunable = model.prunable()
+    prunable = model.prunable(include_stem=any(n.startswith("stem.") for n in masks))
     if set(masks) != set(prunable):
         raise ContractError("masks must cover exactly the prunable parameter set")
     masked_off = 0

@@ -1,17 +1,23 @@
 """Single-pass sparse training: masked weights with epoch-end prune/regrow.
 
 Masks are initialized randomly at the target density and updated once per
-epoch: each layer drops its lowest-magnitude active weights at the current
-prune rate, and the freed global budget is redistributed across layers in
-proportion to the momentum each layer's active weights contributed during
-the epoch. Regrown coordinates are chosen by momentum magnitude, start at
-zero, and get a fresh (zeroed) velocity. The prune rate decays linearly to
-zero over training, so the mask settles while the budget stays constant.
+epoch. Both prune modes run the same boundary on a unit view of every
+prunable weight (`_units`): a matrix whose columns are the units that are
+switched on and off together. In irregular mode a unit is one scalar (a
+single row holding the flattened weight); in column mode it is one column
+of the (C_out) x (C_in * k * k) weight matrix (attention projections count
+their output dimension as rows). A unit's score is its squared L2 norm.
 
-Two granularities are supported: irregular (individual scalars) and column
-(whole columns of the (C_out) x (C_in * k * k) weight matrix, scored by
-squared Frobenius norm; attention projections count their output dimension
-as rows). All sorts break ties by flat index so trajectories are exactly
+At a boundary each layer drops the p_e fraction of its active units with
+the smallest weight score. The budget this frees is split across layers in
+proportion to the momentum each layer's active weights contributed during
+the epoch, and each layer regrows the inactive units with the largest
+momentum score; regrown weights start at zero with a zeroed velocity.
+Only the split differs between the modes: irregular mode apportions exact
+scalar counts, column mode grants whole columns and so stays within one
+column of the budget. The prune rate decays linearly to zero over
+training, so the mask settles while the budget stays constant. All sorts
+are stable, so ties fall back to index order and trajectories are exactly
 reproducible.
 """
 
@@ -24,7 +30,6 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .models import Model
 from .optim import SGD
-from .tensor import Tensor
 
 MODES = ("irregular", "column")
 
@@ -42,18 +47,16 @@ def _as_matrix(arr: np.ndarray) -> np.ndarray:
     raise ContractError(f"prunable weights must be 2-D or 4-D, got {arr.ndim}-D")
 
 
-def column_scores(w) -> np.ndarray:
-    """Squared F-norm of each weight column, summed over output rows.
+def _units(arr: np.ndarray, mode: str) -> np.ndarray:
+    """A view of `arr` whose columns are the units of `mode`: one row of
+    scalars in irregular mode, the `_as_matrix` columns in column mode."""
+    return arr.reshape(1, -1) if mode == "irregular" else _as_matrix(arr)
 
-    4-D conv weights return a (C_in, kh, kw) score grid; 2-D attention
-    projections return one score per input channel.
-    """
-    arr = w.data if isinstance(w, Tensor) else np.asarray(w)
-    mat = _as_matrix(arr)
-    scores = (mat.astype(np.float64) ** 2).sum(axis=0)
-    if arr.ndim == 4:
-        return scores.reshape(arr.shape[1:])
-    return scores
+
+def _scores(units: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of every unit (column), summed in float64. A float32
+    value squared in float64 is exact, so one-row units rank as |value|."""
+    return (units.astype(np.float64) ** 2).sum(axis=0)
 
 
 def decay_prune_rate(p0: float, epoch: int, total_epochs: int) -> float:
@@ -121,11 +124,7 @@ class SparseState:
 
 def init_mask(model: Model, density: float, rng, mode: str = "irregular",
               prune_rate0: float = 0.5, include_stem: bool = True) -> SparseState:
-    """Random masks at the target density, exact per layer.
-
-    Irregular mode activates round(d * size) coordinates per layer; column
-    mode activates round(d * n_columns) whole columns.
-    """
+    """Random masks at the target density: round(d * n_units) units per layer."""
     if not 0.0 < density <= 1.0:
         raise ConfigError(f"density must be in (0, 1], got {density}")
     if mode not in MODES:
@@ -135,15 +134,9 @@ def init_mask(model: Model, density: float, rng, mode: str = "irregular",
     state = SparseState(mode=mode, density=density, prune_rate0=prune_rate0, include_stem=include_stem)
     for name, p in model.prunable(include_stem=include_stem).items():
         mask = np.zeros(p.shape, dtype=p.data.dtype)
-        if mode == "irregular":
-            n_on = int(round(density * mask.size))
-            on = rng.choice(mask.size, size=n_on, replace=False)
-            mask.reshape(-1)[on] = 1.0
-        else:
-            mat = _as_matrix(mask)
-            n_cols = mat.shape[1]
-            on = rng.choice(n_cols, size=int(round(density * n_cols)), replace=False)
-            mat[:, on] = 1.0
+        units = _units(mask, mode)
+        n_units = units.shape[1]
+        units[:, rng.choice(n_units, size=int(round(density * n_units)), replace=False)] = 1.0
         state.masks[name] = mask
     state.target_nonzero = state.nonzero()
     return state
@@ -159,158 +152,119 @@ def apply_mask(state: SparseState, model: Model):
         p.data *= mask
 
 
-def _apportion(freed: int, mu: dict, capacity: dict) -> dict:
-    """Integer quotas proportional to mu, capped by capacity, summing to freed.
+def _apportion(needed: int, mu: dict, spare: dict, rows: dict) -> dict:
+    """Irregular rule: integer quotas proportional to mu, capped by spare,
+    summing to needed. A unit is one scalar, so `rows` is all ones.
 
     Largest-remainder rounding first; any overflow beyond a layer's free
     slots is pushed to the remaining layers in descending-mu order. Sorts
     are stable, so ties fall back to layer order.
     """
     names = list(mu)
-    ideal = {n: mu[n] * freed for n in names}
-    quota = {n: min(int(ideal[n]), capacity[n]) for n in names}
-    remainder = freed - sum(quota.values())
+    ideal = {n: mu[n] * needed for n in names}
+    quota = {n: min(int(ideal[n]), spare[n]) for n in names}
+    remainder = needed - sum(quota.values())
     for n in sorted(names, key=lambda n: -(ideal[n] - int(ideal[n]))):
         if remainder == 0:
             break
-        if quota[n] < capacity[n]:
+        if quota[n] < spare[n]:
             quota[n] += 1
             remainder -= 1
-    if remainder > 0:
-        for n in sorted(names, key=lambda n: -mu[n]):
-            take = min(remainder, capacity[n] - quota[n])
-            quota[n] += take
-            remainder -= take
-            if remainder == 0:
-                break
-    if remainder != 0:
-        raise ContractError("regrowth budget exceeds total inactive capacity")
+    for n in sorted(names, key=lambda n: -mu[n]):
+        take = min(remainder, spare[n] - quota[n])
+        quota[n] += take
+        remainder -= take
     return quota
 
 
-def prune_regrow_epoch(state: SparseState, model: Model, optimizer: SGD) -> SparseState:
-    """One epoch boundary of irregular sparse learning.
-
-    Per layer: deactivate the p_e fraction of active weights with smallest
-    magnitude; then redistribute the freed global budget proportionally to
-    the normalized momentum contribution and reactivate the inactive
-    coordinates with the largest |velocity|. Regrown weights restart at
-    zero with zeroed velocity. The global nonzero count is preserved
-    exactly.
-    """
-    if state.mode != "irregular":
-        raise ContractError(f"prune_regrow_epoch requires irregular mode, got {state.mode}")
-    mu = state.finalize_epoch_momentum()
-    if state.p_e <= 0.0:
-        return state
-    params = model.prunable(include_stem=state.include_stem)
-    freed = 0
-    for name, mask in state.masks.items():
-        w = params[name].data.reshape(-1)
-        flat = mask.reshape(-1)
-        active = np.flatnonzero(flat)
-        k = int(state.p_e * active.size)
-        if k == 0:
-            continue
-        order = active[np.argsort(np.abs(w[active]), kind="stable")]
-        drop = order[:k]
-        flat[drop] = 0.0
-        w[drop] = 0.0
-        freed += k
-    capacity = {n: int(m.size - np.count_nonzero(m)) for n, m in state.masks.items()}
-    quota = _apportion(freed, mu, capacity)
-    for name, mask in state.masks.items():
-        q = quota[name]
-        if q == 0:
-            continue
-        flat = mask.reshape(-1)
-        v = optimizer.velocities[name].reshape(-1)
-        inactive = np.flatnonzero(flat == 0)
-        order = inactive[np.argsort(-np.abs(v[inactive]), kind="stable")]
-        grow = order[:q]
-        flat[grow] = 1.0
-        params[name].data.reshape(-1)[grow] = 0.0
-        v[grow] = 0.0
-    apply_mask(state, model)
-    if state.nonzero() != state.target_nonzero:
-        raise ContractError("nonzero budget drifted during prune/regrow")
-    return state
-
-
-def column_prune_regrow_epoch(state: SparseState, model: Model, optimizer: SGD) -> SparseState:
-    """Epoch boundary of column-structured sparse learning.
-
-    Columns of the (C_out) x (C_in * k * k) matrix are pruned by smallest
-    squared F-norm and regrown by largest momentum F-norm. The regrowth
-    allocation follows the normalized momentum contribution in weight
-    units, granting whole columns greedily while that reduces the gap to
-    the global budget target; per-epoch rounding is corrected the next
-    epoch because the allocation always aims at the fixed target. On
-    return the nonzero count is within one column of the target (the
-    largest row count of any layer), or ContractError is raised.
-    """
-    if state.mode != "column":
-        raise ContractError(f"column_prune_regrow_epoch requires column mode, got {state.mode}")
-    mu = state.finalize_epoch_momentum()
-    if state.p_e <= 0.0:
-        return _check_column_budget(state)
-    params = model.prunable(include_stem=state.include_stem)
-    for name, mask in state.masks.items():
-        w_mat = _as_matrix(params[name].data)
-        m_mat = _as_matrix(mask)
-        active_cols = np.flatnonzero(m_mat[0] > 0)
-        _check_uniform(m_mat)
-        k = int(state.p_e * active_cols.size)
-        if k == 0:
-            continue
-        scores = (w_mat[:, active_cols].astype(np.float64) ** 2).sum(axis=0)
-        drop = active_cols[np.argsort(scores, kind="stable")[:k]]
-        m_mat[:, drop] = 0.0
-        w_mat[:, drop] = 0.0
-    needed = max(0, state.target_nonzero - state.nonzero())
-    rows = {n: _as_matrix(m).shape[0] for n, m in state.masks.items()}
-    spare_cols = {n: int((_as_matrix(m)[0] == 0).sum()) for n, m in state.masks.items()}
-    grant = {n: min(int(mu[n] * needed) // rows[n], spare_cols[n]) for n in state.masks}
+def _grant_columns(needed: int, mu: dict, spare: dict, rows: dict) -> dict:
+    """Column rule: whole columns in proportion to mu in weight units, then
+    one more column at a time, in descending-mu order, while that shrinks
+    the gap to `needed`. Rounding left this epoch is corrected the next,
+    because `needed` always aims at the fixed target."""
+    grant = {n: min(int(mu[n] * needed) // rows[n], spare[n]) for n in mu}
     assigned = sum(grant[n] * rows[n] for n in grant)
-    by_mu = sorted(state.masks, key=lambda n: -mu[n])
+    by_mu = sorted(mu, key=lambda n: -mu[n])
     progress = True
     while progress:
         progress = False
         for n in by_mu:
-            # grant another column only while it shrinks the budget gap
-            if grant[n] < spare_cols[n] and rows[n] < 2 * (needed - assigned):
+            if grant[n] < spare[n] and rows[n] < 2 * (needed - assigned):
                 grant[n] += 1
                 assigned += rows[n]
                 progress = True
-    for name, mask in state.masks.items():
-        q = grant[name]
-        if q == 0:
+    return grant
+
+
+def prune_regrow_epoch(state: SparseState, model: Model, optimizer: SGD) -> SparseState:
+    """Epoch boundary of irregular sparse learning; keeps the budget exactly."""
+    return _boundary(state, model, optimizer, "irregular", _apportion)
+
+
+def column_prune_regrow_epoch(state: SparseState, model: Model, optimizer: SGD) -> SparseState:
+    """Epoch boundary of column sparse learning; keeps the budget within one column
+    of the layer with the most rows."""
+    return _boundary(state, model, optimizer, "column", _grant_columns)
+
+
+def _boundary(state: SparseState, model: Model, optimizer: SGD, mode: str, allocate) -> SparseState:
+    """Prune, allocate and regrow units (see the module docstring).
+
+    Per layer: deactivate the p_e fraction of active units with the
+    smallest weight norm. `allocate(needed, mu, spare, rows)` then splits
+    the budget the pruning freed into per-layer unit counts, and each layer
+    reactivates the inactive units with the largest momentum norm, at zero
+    weight and zero velocity. The budget is checked before anything changes
+    and again on return.
+    """
+    if state.mode != mode:
+        raise ContractError(f"a {mode} boundary requires {mode} mode, got {state.mode}")
+    _check_budget(state)
+    mu = state.finalize_epoch_momentum()
+    if state.p_e <= 0.0:
+        return state
+    params = model.prunable(include_stem=state.include_stem)
+    units = {n: _units(mask, mode) for n, mask in state.masks.items()}
+    for name, m in units.items():
+        w = _units(params[name].data, mode)
+        _check_uniform(m)
+        active = np.flatnonzero(m[0] > 0)
+        k = int(state.p_e * active.size)
+        if k == 0:
             continue
-        m_mat = _as_matrix(mask)
-        v_mat = _as_matrix(optimizer.velocities[name])
-        w_mat = _as_matrix(params[name].data)
-        inactive = np.flatnonzero(m_mat[0] == 0)
-        vscores = (v_mat[:, inactive].astype(np.float64) ** 2).sum(axis=0)
-        grow = inactive[np.argsort(-vscores, kind="stable")[:q]]
-        m_mat[:, grow] = 1.0
-        w_mat[:, grow] = 0.0
-        v_mat[:, grow] = 0.0
+        drop = active[np.argsort(_scores(w[:, active]), kind="stable")[:k]]
+        m[:, drop] = 0.0
+        w[:, drop] = 0.0
+    needed = max(0, state.target_nonzero - state.nonzero())
+    quota = allocate(needed, mu, {n: int((m[0] == 0).sum()) for n, m in units.items()},
+                     {n: m.shape[0] for n, m in units.items()})
+    for name, m in units.items():
+        if quota[name] == 0:
+            continue
+        w, v = _units(params[name].data, mode), _units(optimizer.velocities[name], mode)
+        inactive = np.flatnonzero(m[0] == 0)
+        grow = inactive[np.argsort(-_scores(v[:, inactive]), kind="stable")[:quota[name]]]
+        m[:, grow] = 1.0
+        w[:, grow] = 0.0
+        v[:, grow] = 0.0
     apply_mask(state, model)
-    return _check_column_budget(state)
+    return _check_budget(state)
 
 
-def _check_column_budget(state: SparseState) -> SparseState:
-    gap = abs(state.target_nonzero - state.nonzero())
-    column = max(_as_matrix(m).shape[0] for m in state.masks.values())
-    if gap > column:
-        raise ContractError(f"column budget drifted: {state.nonzero()} nonzero against a target of "
-                            f"{state.target_nonzero}, more than one column ({column}) apart")
+def _check_budget(state: SparseState) -> SparseState:
+    """Irregular masks hold exactly `target_nonzero` ones; column masks may
+    miss it by at most one column of the layer with the most rows."""
+    allowed = 0 if state.mode == "irregular" else max(_as_matrix(m).shape[0]
+                                                      for m in state.masks.values())
+    if abs(state.target_nonzero - state.nonzero()) > allowed:
+        raise ContractError(f"{state.mode} budget drifted: {state.nonzero()} nonzero against a target "
+                            f"of {state.target_nonzero}, more than {allowed} apart")
     return state
 
 
-def _check_uniform(m_mat: np.ndarray):
-    col_on = m_mat.sum(axis=0)
-    if not np.all((col_on == 0) | (col_on == m_mat.shape[0])):
+def _check_uniform(m: np.ndarray):
+    col_on = m.sum(axis=0)
+    if not np.all((col_on == 0) | (col_on == m.shape[0])):
         raise ContractError("column mask lost its column-uniform structure")
 
 

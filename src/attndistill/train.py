@@ -37,9 +37,8 @@ from .models import (
     build_model,
     count_flops,
     count_params,
-    pair_taps,
-    paired_teacher_blocks,
     spec_by_name,
+    tap_pairs,
 )
 from .optim import SGD
 from .tensor import no_grad
@@ -266,7 +265,7 @@ def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfi
     """
     label, phase = _RUNS[kind]
     need_teacher = teacher is not None and (dcfg.alpha < 1.0 or dcfg.beta > 0.0)
-    teacher_blocks = paired_teacher_blocks(model.spec, teacher.spec) if need_teacher else set()
+    pairs = tap_pairs(model.spec, teacher.spec) if need_teacher else []
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics = RunMetrics(layer_names=state.layer_names if state else ())
     metrics_path = os.path.join(cfg.out_dir, f"{label}_metrics.csv")
@@ -283,11 +282,9 @@ def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfi
                 with no_grad():
                     logits_t, taps_t = teacher.forward_with_taps(xb, training=False)
                 # the unpaired taps are freed before the student's graph is built
-                taps_t = [tap for tap in taps_t if (tap.stage, tap.block) in teacher_blocks]
+                taps_t = [taps_t[j] for _, j in pairs]
             logits, taps = model.forward_with_taps(xb, training=True)
-            pairs = pair_taps(taps, taps_t) if need_teacher else []
-            ce, kd, at = loss_terms(yb, logits, logits_t, [p[0].value for p in pairs],
-                                    [p[1].value for p in pairs], dcfg)
+            ce, kd, at = loss_terms(yb, logits, logits_t, [taps[i] for i, _ in pairs], taps_t, dcfg)
             loss = combine_terms(ce, kd, at, dcfg)
             value = loss.item()
             if not math.isfinite(value):
@@ -352,8 +349,7 @@ def train_teacher(cfg: TrainConfig):
 
 
 def _check_tap_compatibility(teacher_spec: ModelSpec, student_spec: ModelSpec):
-    if len(teacher_spec.blocks) != len(student_spec.blocks):
-        raise ConfigError("teacher and student stage counts differ; taps cannot pair")
+    tap_pairs(student_spec, teacher_spec)  # raises when the stage counts differ
     if teacher_spec.input_hw != student_spec.input_hw:
         raise ConfigError("teacher and student input resolutions differ")
     if teacher_spec.classes != student_spec.classes:

@@ -7,9 +7,9 @@ from attndistill.models import (
     ModelSpec,
     build_model,
     count_params,
-    pair_taps,
     spec_by_name,
     student_spec,
+    tap_pairs,
     teacher50_spec,
     toy_spec,
 )
@@ -27,10 +27,10 @@ def test_toy_teacher_and_student_tap_shapes_align():
     x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 32, 32)).astype(np.float32))
     _, tt = teacher.forward_with_taps(x)
     _, ts = student.forward_with_taps(x)
-    pairs = pair_taps(ts, tt)
+    pairs = tap_pairs(student.spec, teacher.spec)
     assert len(pairs) == 3  # one per stage (block counts differ)
-    for s_tap, t_tap in pairs:
-        assert s_tap.value.shape == t_tap.value.shape
+    for i, j in pairs:
+        assert ts[i].shape == tt[j].shape
 
 
 def _spatial_convs(model):
@@ -62,7 +62,7 @@ def test_forward_deterministic():
     b, taps_b = m.forward_with_taps(x)
     assert np.array_equal(a.data, b.data)
     for ta, tb in zip(taps_a, taps_b):
-        assert np.array_equal(ta.value.data, tb.value.data)
+        assert np.array_equal(ta.data, tb.data)
 
 
 def test_forward_rejects_wrong_shape():
@@ -176,9 +176,9 @@ def test_pair_taps_blockwise_when_counts_match():
     x = Tensor(np.random.default_rng(18).standard_normal((1, 3, 32, 32)).astype(np.float32))
     _, ta = a.forward_with_taps(x)
     _, tb = b.forward_with_taps(x)
-    pairs = pair_taps(ta, tb)
-    assert len(pairs) == len(ta)
-    assert all(p[0].stage == p[1].stage and p[0].block == p[1].block for p in pairs)
+    pairs = tap_pairs(a.spec, b.spec)
+    assert pairs == [(i, i) for i in range(len(ta))]
+    assert all(ta[i].shape == tb[j].shape for i, j in pairs)
 
 
 def test_prunable_set_excludes_exempt_tensors():

@@ -7,10 +7,12 @@ from attndistill.errors import ConfigError, ContractError
 from attndistill.models import ModelSpec, build_model, toy_spec
 from attndistill.optim import SGD
 from attndistill.sparse import (
+    _as_matrix,
+    _scores,
+    _units,
     apply_mask,
     audit_coverage,
     column_prune_regrow_epoch,
-    column_scores,
     decay_prune_rate,
     init_mask,
     prune_regrow_epoch,
@@ -269,29 +271,87 @@ def test_prune_regrow_against_exhaustive_sort_oracle():
         assert got_active == expect_active[n]
 
 
+def _column_scores(w):
+    return _scores(_units(w, "column"))
+
+
 def test_column_scores_hand_value():
     w = np.zeros((2, 1, 1, 1), dtype=np.float32)
     w[0, 0, 0, 0], w[1, 0, 0, 0] = 3.0, 4.0
-    assert column_scores(w)[0, 0, 0] == pytest.approx(25.0)
+    assert _column_scores(w)[0] == pytest.approx(25.0)
 
 
 def test_column_scores_zero_column():
     w = np.zeros((4, 2, 3, 3), dtype=np.float32)
-    assert (column_scores(w) == 0).all()
+    scores = _column_scores(w)
+    assert scores.shape == (2 * 3 * 3,)
+    assert (scores == 0).all()
 
 
 def test_column_scores_row_permutation_invariant():
     rng = np.random.default_rng(26)
     w = rng.standard_normal((6, 3, 3, 3)).astype(np.float32)
     perm = rng.permutation(6)
-    assert np.allclose(column_scores(w), column_scores(w[perm]))
+    assert np.allclose(_column_scores(w), _column_scores(w[perm]))
 
 
 def test_column_scores_attention_projection_shape():
     w = Tensor(np.random.default_rng(27).standard_normal((5, 8)).astype(np.float32))
-    scores = column_scores(w)  # rows are the 8 outputs, columns the 5 inputs
+    scores = _column_scores(w.data)  # rows are the 8 outputs, columns the 5 inputs
     assert scores.shape == (5,)
     assert np.allclose(scores, (w.data.astype(np.float64) ** 2).sum(axis=1))
+
+
+def test_irregular_selection_is_a_stable_argsort_of_magnitudes():
+    """Weights and velocities drawn from a few levels, signed zeros
+    included: pruning drops the first entries of a stable argsort of |w|
+    over the active coordinates, regrowth takes the first entries of a
+    stable argsort of -|v| over the inactive ones."""
+    m = _toy_student(seed=45)
+    name = "s2.b0.conv3.w"  # (32, 16, 1, 1)
+    state = init_mask(m, 0.5, np.random.default_rng(46))
+    state.masks = {name: state.masks[name]}
+    state.target_nonzero = int(state.masks[name].sum())
+    opt = SGD(m.named_params(), lr=0.1, momentum=0.9)
+    rng = np.random.default_rng(47)
+    levels = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0], dtype=np.float32)
+    w = m.prunable()[name]
+    w.data[:] = rng.choice(levels, w.shape)
+    opt.velocities[name][:] = rng.choice(levels, w.shape)
+    mask0, w0 = state.masks[name].reshape(-1).copy(), w.data.reshape(-1).copy()
+    v0 = opt.velocities[name].reshape(-1).copy()
+    state.accumulate_momentum(opt)
+    state.p_e = 0.3
+    prune_regrow_epoch(state, m, opt)
+
+    active = np.flatnonzero(mask0)
+    k = int(0.3 * active.size)
+    expected = mask0.copy()
+    expected[active[np.argsort(np.abs(w0[active]), kind="stable")[:k]]] = 0.0
+    inactive = np.flatnonzero(expected == 0)
+    expected[inactive[np.argsort(-np.abs(v0[inactive]), kind="stable")[:k]]] = 1.0
+    assert np.array_equal(state.masks[name].reshape(-1), expected)
+
+
+@pytest.mark.parametrize("p_e", [0.3, 0.0])
+@pytest.mark.parametrize("mode", ["irregular", "column"])
+def test_drifted_budget_raises_before_any_mask_changes(mode, p_e):
+    m = _toy_student(seed=48)
+    state = init_mask(m, 0.5, np.random.default_rng(49), mode=mode)
+    apply_mask(state, m)
+    opt = SGD(m.named_params(), lr=0.1, momentum=0.9)
+    state.accumulate_momentum(opt)
+    column = max(_as_matrix(mask).shape[0] for mask in state.masks.values())
+    state.target_nonzero += 1 if mode == "irregular" else column + 1
+    masks = {n: mask.copy() for n, mask in state.masks.items()}
+    weights = {n: p.data.copy() for n, p in m.prunable().items()}
+    state.p_e = p_e
+    boundary = prune_regrow_epoch if mode == "irregular" else column_prune_regrow_epoch
+    with pytest.raises(ContractError, match=f"{mode} budget drifted"):
+        boundary(state, m, opt)
+    for n, p in m.prunable().items():
+        assert np.array_equal(state.masks[n], masks[n])
+        assert np.array_equal(p.data, weights[n])
 
 
 def test_column_init_and_uniformity():

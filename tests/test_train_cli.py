@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,12 +12,10 @@ from attndistill.cli import main as cli_main
 from attndistill.config import TrainConfig
 from attndistill.errors import ConfigError, FormatError
 from attndistill.models import (
-    Tap,
     build_model,
     count_params,
-    pair_taps,
-    paired_teacher_blocks,
     spec_by_name,
+    tap_pairs,
     toy_spec,
 )
 from attndistill.train import (
@@ -96,9 +95,10 @@ def test_metrics_components_recombine_to_total(tmp_path, tiny_teacher):
         assert abs(recombined - row["total_loss"]) <= 1e-5
 
 
-def test_deterministic_runs_byte_identical(tmp_path, tiny_teacher):
+@pytest.mark.parametrize("prune_mode", ["irregular", "column"])
+def test_deterministic_runs_byte_identical(tmp_path, tiny_teacher, prune_mode):
     cfg = tiny_config(tmp_path / "run", epochs=2, lr=0.01, lr_drops=(), variant="hybrid",
-                      alpha=0.1, beta=10.0, density=0.5)
+                      alpha=0.1, beta=10.0, density=0.5, prune_mode=prune_mode)
     sparse_distill(cfg, tiny_teacher["ckpt"])
     first = {
         name: (tmp_path / "run" / name).read_bytes()
@@ -364,12 +364,40 @@ def test_metrics_csv_read_write_roundtrip(tmp_path):
 def test_trimmed_teacher_taps_pair_as_the_full_lists(student, teacher):
     s_spec = spec_by_name(student, "student", "hybrid", 10, 3, 8 if student == "student26" else 2)
     t_spec = spec_by_name(teacher, "teacher", "conv", 10, 3, 8)
-    taps_s = [Tap(s, b, None) for s, n in enumerate(s_spec.blocks) for b in range(n)]
-    taps_t = [Tap(s, b, None) for s, n in enumerate(t_spec.blocks) for b in range(n)]
-    keep = paired_teacher_blocks(s_spec, t_spec)
-    trimmed = [tap for tap in taps_t if (tap.stage, tap.block) in keep]
-    full = pair_taps(taps_s, taps_t)
-    assert pair_taps(taps_s, trimmed) == full
-    assert len(trimmed) == len({id(t) for _, t in full})
+    where_s = [(s, b, n) for s, n in enumerate(s_spec.blocks) for b in range(n)]
+    where_t = [(s, b, n) for s, n in enumerate(t_spec.blocks) for b in range(n)]
+    pairs = tap_pairs(s_spec, t_spec)
+    for i, j in pairs:  # same stage; block for block, or both stage-final
+        (ss, bs, ns), (st, bt, nt) = where_s[i], where_t[j]
+        assert ss == st and (bs == bt if ns == nt else (bs, bt) == (ns - 1, nt - 1))
+    assert {where_s[i][0] for i, _ in pairs} == set(range(len(s_spec.blocks)))
+    assert len({j for _, j in pairs}) == len(pairs)  # the trimmed list keeps each teacher tap once
     if student == "student26":  # one tap per stage: the teacher's stage-final block
-        assert [(t.stage, t.block) for t in trimmed] == [(0, 2), (1, 3), (2, 5), (3, 2)]
+        assert pairs == [(0, 2), (2, 6), (6, 12), (7, 15)]
+
+
+def test_distill_without_stem_pruning_reports_and_evaluates(tmp_path, tiny_teacher):
+    cfg = tiny_config(tmp_path, epochs=2, lr=0.01, lr_drops=(), variant="hybrid",
+                      alpha=0.1, beta=10.0, density=0.5, stem_prunable=False)
+    ckpt, metrics = sparse_distill(cfg, tiny_teacher["ckpt"])
+    model, _, masks, _ = model_from_checkpoint(ckpt)
+    assert masks and not any(name.startswith("stem.") for name in masks)
+    total, nonzero = count_params(model, masks)
+    assert metrics.rows[-1]["global_density"] == pytest.approx(nonzero / total, abs=1e-6)
+    r = report(tiny_teacher["ckpt"], ckpt)
+    assert (r["student"]["params"], r["student"]["nonzero"]) == (total, nonzero)
+    _, test_ds = load_datasets(cfg)
+    assert evaluate(ckpt, test_ds, cfg.batch_size) == metrics.rows[-1]["test_acc"]
+
+
+def test_artifact_digest_script_prints_every_artifact():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "artifact_digest.py")
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    digests = [line.split("  ") for line in proc.stdout.splitlines()]
+    assert [path for _, path in digests] == [
+        "student26/distill_metrics.csv", "student26/student.atlt", "student26/student_last.atlt",
+        "teacher50/teacher.atlt", "toy-distill/distill_metrics.csv", "toy-distill/student.atlt",
+        "toy-distill/student_last.atlt", "toy-teacher/teacher.atlt", "toy-teacher/teacher_metrics.csv",
+    ]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest, _ in digests)
