@@ -9,11 +9,15 @@ directories are relative, because `out_dir` is stored in every manifest.
 Prints `sha256  path` for every metrics CSV and checkpoint. Run it in two
 checkouts and diff the outputs: equal lines mean byte-identical artifacts.
 BLAS runs on one thread, so the digests do not depend on the core count.
+After the digests it prints the process's peak resident set and minor
+page faults to stderr, so a memory change can be compared with the same
+command.
 """
 
 import contextlib
 import hashlib
 import os
+import resource
 import sys
 import tempfile
 
@@ -63,6 +67,8 @@ def main():
                     print(f"{hashlib.sha256(f.read()).hexdigest()}  {path}")
         finally:
             os.chdir(home)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    print(f"maxrss {usage.ru_maxrss / 1024:.1f} MB, minor faults {usage.ru_minflt}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,13 @@ Layout (all integers little-endian):
         ...       payload (float32 LE, or packed bits row-major)
 
 Writes go to a temp file in the target directory and are renamed into
-place, so a checkpoint on disk is never half-written.
+place, so a checkpoint on disk is never half-written. Both directions
+stream record by record: `save_checkpoint` writes each array's bytes
+from the array itself, and `load_checkpoint` reads each float payload
+straight into a freshly allocated array, so neither holds a copy of the
+whole file. The reader checks every declared length against the bytes
+left in the file before reading or allocating anything, and rejects a
+file with bytes after its last record.
 """
 
 from __future__ import annotations
@@ -39,96 +45,120 @@ KIND_MASK = 1
 
 
 def save_checkpoint(path, manifest: dict, arrays: dict, masks: dict | None = None):
-    masks = masks or {}
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", VERSION)
-    mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    blob += struct.pack("<Q", len(mbytes))
-    blob += mbytes
     records = [(n, KIND_F32, a) for n, a in arrays.items()]
-    records += [(n, KIND_MASK, m) for n, m in masks.items()]
-    blob += struct.pack("<I", len(records))
-    for name, kind, arr in records:
-        nb = name.encode("utf-8")
-        blob += struct.pack("<H", len(nb))
-        blob += nb
-        arr = np.asarray(arr)
-        blob += struct.pack("<BB", kind, arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        if kind == KIND_F32:
-            payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        else:
-            payload = np.packbits(arr.reshape(-1).astype(bool)).tobytes()
-        blob += struct.pack("<Q", len(payload))
-        blob += payload
+    records += [(n, KIND_MASK, m) for n, m in (masks or {}).items()]
+    mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(blob)
+            f.write(MAGIC + struct.pack("<IQ", VERSION, len(mbytes)) + mbytes)
+            f.write(struct.pack("<I", len(records)))
+            for name, kind, arr in records:
+                arr = np.asarray(arr)
+                if kind == KIND_F32:
+                    payload = _raw_bytes(np.ascontiguousarray(arr, dtype="<f4"))
+                else:
+                    payload = np.packbits(arr.reshape(-1).astype(bool))
+                nb = name.encode("utf-8")
+                f.write(struct.pack(f"<H{len(nb)}sBB{arr.ndim}IQ", len(nb), nb, kind, arr.ndim,
+                                    *arr.shape, payload.nbytes))
+                f.write(payload)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
+def _raw_bytes(arr: np.ndarray) -> np.ndarray:
+    """A flat byte view of a contiguous array (zero-size and 0-d arrays too)."""
+    return arr.reshape(-1).view(np.uint8)
+
+
+def _shaped(flat: np.ndarray, shape, path) -> np.ndarray:
+    try:
+        return flat.reshape(shape)
+    except ValueError as e:  # more dims than numpy allows, or a size it cannot index
+        raise FormatError(f"checkpoint {path} declares a shape numpy cannot make: {shape}") from e
+
+
 class _Reader:
-    def __init__(self, buf: bytes, path):
-        self.buf, self.off, self.path = buf, 0, path
+    """Reads a checkpoint file field by field. Every length is checked
+    against the bytes left in the file before anything of that length is
+    read or allocated."""
+
+    def __init__(self, f, path):
+        self.f, self.path = f, path
+        self.left = os.fstat(f.fileno()).st_size
+
+    def _claim(self, n: int):
+        if n > self.left:
+            raise FormatError(f"truncated checkpoint {self.path} at byte {self.f.tell()}: "
+                              f"{n} bytes needed, {self.left} left")
+        self.left -= n
 
     def take(self, n: int) -> bytes:
-        if self.off + n > len(self.buf):
-            raise FormatError(f"truncated checkpoint {self.path} at byte {self.off}")
-        out = self.buf[self.off : self.off + n]
-        self.off += n
+        self._claim(n)
+        out = self.f.read(n)
+        if len(out) != n:
+            raise FormatError(f"checkpoint {self.path} changed size while being read")
         return out
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def take_f32(self, shape) -> np.ndarray:
+        """A float32 array of `shape`, read straight into its own memory."""
+        size = math.prod(shape)
+        self._claim(4 * size)
+        arr = _shaped(np.empty(size, dtype="<f4"), shape, self.path)
+        if self.f.readinto(_raw_bytes(arr)) != arr.nbytes:
+            raise FormatError(f"checkpoint {self.path} changed size while being read")
+        return arr
+
 
 def load_checkpoint(path):
     """Returns (manifest, arrays, masks); masks are float32 {0,1} arrays."""
     with open(path, "rb") as f:
-        r = _Reader(f.read(), path)
-    if r.take(4) != MAGIC:
-        raise FormatError(f"{path} is not a checkpoint (bad magic)")
-    (version,) = r.unpack("<I")
-    if version != VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    (mlen,) = r.unpack("<Q")
-    try:
-        manifest = json.loads(r.take(mlen).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"corrupt manifest in {path}: {e}") from e
-    (count,) = r.unpack("<I")
-    arrays, masks = {}, {}
-    for _ in range(count):
-        (nlen,) = r.unpack("<H")
+        r = _Reader(f, path)
+        if r.take(4) != MAGIC:
+            raise FormatError(f"{path} is not a checkpoint (bad magic)")
+        (version,) = r.unpack("<I")
+        if version != VERSION:
+            raise FormatError(f"unsupported checkpoint version {version}")
+        (mlen,) = r.unpack("<Q")
         try:
-            name = r.take(nlen).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"corrupt record name in {path}: {e}") from e
-        kind, ndim = r.unpack("<BB")
-        shape = r.unpack(f"<{ndim}I")
-        (plen,) = r.unpack("<Q")
-        payload = r.take(plen)
-        size = math.prod(shape)
-        # the declared length must match the shape before anything is allocated
-        if kind == KIND_F32:
-            expected = 4 * size
-        elif kind == KIND_MASK:
-            expected = -(-size // 8)
-        else:
-            raise FormatError(f"unknown record kind {kind} in {path}")
-        if plen != expected:
-            raise FormatError(f"record {name!r} in {path} has {plen} payload bytes, "
-                              f"shape {shape} needs {expected}")
-        if kind == KIND_F32:
-            arrays[name] = np.frombuffer(payload, dtype="<f4", count=size).reshape(shape).copy()
-        else:
-            bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=size)
-            masks[name] = bits.reshape(shape).astype(np.float32)
+            manifest = json.loads(r.take(mlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"corrupt manifest in {path}: {e}") from e
+        (count,) = r.unpack("<I")
+        arrays, masks = {}, {}
+        for _ in range(count):
+            (nlen,) = r.unpack("<H")
+            try:
+                name = r.take(nlen).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"corrupt record name in {path}: {e}") from e
+            kind, ndim = r.unpack("<BB")
+            shape = r.unpack(f"<{ndim}I")
+            (plen,) = r.unpack("<Q")
+            size = math.prod(shape)
+            # the declared length must match the shape before anything is allocated
+            if kind == KIND_F32:
+                expected = 4 * size
+            elif kind == KIND_MASK:
+                expected = -(-size // 8)
+            else:
+                raise FormatError(f"unknown record kind {kind} in {path}")
+            if plen != expected:
+                raise FormatError(f"record {name!r} in {path} has {plen} payload bytes, "
+                                  f"shape {shape} needs {expected}")
+            if kind == KIND_F32:
+                arrays[name] = r.take_f32(shape)
+            else:
+                bits = np.unpackbits(np.frombuffer(r.take(plen), dtype=np.uint8), count=size)
+                masks[name] = _shaped(bits, shape, path).astype(np.float32)
+        if r.left:
+            raise FormatError(f"checkpoint {path} has {r.left} bytes after its last record")
     return manifest, arrays, masks

@@ -22,6 +22,14 @@ weights. So an activation is read-only once an op has recorded it:
 writing into a recorded input or output in place would change the
 gradients computed from it.
 
+The graph is single-use. As `backward()` passes each node's gradient on
+to its parents, it drops that node's closure and parents, so what the
+closure kept (im2col columns, padded keys and values, softmax weights)
+and every activation no later closure reads are freed while the pass
+runs, not when it returns. A second `backward()` through a consumed node
+raises `ContractError`. Once the caller drops its last reference to the
+loss and to the forward's outputs, nothing of the step is left.
+
 Thread contract: tensors are plain arrays, safe to share for read-only
 evaluation; recording state (grad mode, default dtype) is thread-local,
 and gradient accumulation belongs to the single training thread. No
@@ -79,7 +87,7 @@ class Tensor:
     references it needs for backward.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or default_dtype())
@@ -129,12 +137,15 @@ class Tensor:
     # --- autodiff driver ---
 
     def backward(self):
-        """Populate grads of all requires_grad ancestors of a scalar."""
+        """Populate grads of all requires_grad ancestors of a scalar,
+        consuming the graph: each node is released once its gradient has
+        been passed on (see the memory contract)."""
         if self.size != 1:
             raise ContractError(f"backward() needs a scalar, got shape {self.shape}")
         order = topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()  # the list drops its reference as the pass goes
             if node._backward_fn is None:
                 continue
             grads = node._backward_fn(node.grad)
@@ -145,7 +156,7 @@ class Tensor:
                     parent.grad = g  # may alias g; only ever rebound, never mutated
                 else:
                     parent.grad = parent.grad + g
-            node.grad = None  # intermediate grads are not needed past this point
+            node.grad, node._parents, node._backward_fn = None, (), _consumed
 
     # --- operator sugar ---
 
@@ -183,6 +194,10 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis, keepdims)
+
+
+def _consumed(g):
+    raise ContractError("graph already consumed by backward()")
 
 
 def topo_order(root: Tensor):

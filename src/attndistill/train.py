@@ -17,6 +17,7 @@ identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+import ctypes
 import glob
 import math
 import os
@@ -30,7 +31,7 @@ from . import sparse as S
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .distill import DistillConfig, combine_terms, loss_terms
-from .errors import ConfigError, ContractError, FormatError, TrainingDiverged
+from .errors import ConfigError, FormatError, TrainingDiverged
 from .models import (
     Model,
     ModelSpec,
@@ -179,9 +180,9 @@ def _copy_arrays(model: Model, arrays: dict, path):
     for name, t in model.named_params().items():
         key = f"param.{name}"
         if key not in arrays:
-            raise ContractError(f"checkpoint {path} is missing parameter {name}")
+            raise FormatError(f"checkpoint {path} is missing parameter {name}")
         if arrays[key].shape != t.shape:
-            raise ContractError(f"checkpoint parameter {name} has shape {arrays[key].shape}, expected {t.shape}")
+            raise FormatError(f"checkpoint parameter {name} has shape {arrays[key].shape}, expected {t.shape}")
         np.copyto(t.data, arrays[key])
     for name, buf in model.named_buffers().items():
         key = f"buf.{name}"
@@ -229,7 +230,7 @@ def evaluate_model(model: Model, dataset: D.Dataset, batch_size: int = 100) -> f
 
 def evaluate(ckpt_path, dataset: D.Dataset, batch_size: int = 100) -> float:
     """Accuracy of a checkpoint, with its masks applied to the weights."""
-    model, manifest, masks, _ = model_from_checkpoint(ckpt_path)
+    model, manifest, masks = model_from_checkpoint(ckpt_path)[:3]  # the arrays are in `model`
     if masks:
         state = _restore_sparse_state(manifest, masks)
         S.apply_mask(state, model)
@@ -253,6 +254,28 @@ def _density_metrics(model: Model, state: S.SparseState | None):
     return state.nonzero() / prunable, nonzero / total, state.layer_densities()
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's malloc.h
+
+
+def _keep_freed_heap():
+    """Let glibc keep freed memory in this process's heap for reuse.
+
+    Each step frees its whole graph, and the next step allocates the same
+    sizes again. With glibc's defaults the freed pages go back to the OS
+    (a trimmed heap top, munmapped large blocks) and fault in again on the
+    next step. This raises the trim threshold to 1 GiB and fixes the mmap
+    threshold at 32 MiB, glibc's ceiling, for this process only. Where
+    `mallopt` cannot be found (not glibc) it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfig,
          train_ds, test_ds, teacher: Model | None = None, state: S.SparseState | None = None,
          start_epoch: int = 0, stop_after: int | None = None):
@@ -262,10 +285,43 @@ def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfi
     re-applies its mask after every step, prunes and regrows at every
     epoch boundary and saves the rolling `<kind>_last.atlt` each epoch,
     which `stop_after` returns once that many epochs have completed.
+
+    A step's autodiff graph lives only in `step`'s locals: backward frees
+    most of it node by node, and the rest (logits, taps, loss terms) goes
+    when `step` returns, so no two steps' graphs coexist. The freed heap is
+    kept for the next step (`_keep_freed_heap`).
     """
     label, phase = _RUNS[kind]
     need_teacher = teacher is not None and (dcfg.alpha < 1.0 or dcfg.beta > 0.0)
     pairs = tap_pairs(model.spec, teacher.spec) if need_teacher else []
+    _keep_freed_heap()
+
+    def step(xb, yb, epoch, t):
+        """One optimizer step; returns the logged (total, ce, kd, at)."""
+        logits_t, taps_t = None, []
+        if need_teacher:
+            with no_grad():
+                logits_t, taps_t = teacher.forward_with_taps(xb, training=False)
+            # the unpaired taps are freed before the student's graph is built
+            taps_t = [taps_t[j] for _, j in pairs]
+        logits, taps = model.forward_with_taps(xb, training=True)
+        ce, kd, at = loss_terms(yb, logits, logits_t, [taps[i] for i, _ in pairs], taps_t, dcfg)
+        loss = combine_terms(ce, kd, at, dcfg)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise TrainingDiverged(epoch, t, value)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        if state is not None:
+            S.apply_mask(state, model)
+            state.accumulate_momentum(opt)
+        # the logged total recombines the logged components in float64,
+        # so it does not carry the float32 rounding of `loss`
+        ce_v, kd_v, at_v = (0.0 if v is None else v.item() for v in (ce, kd, at))
+        total = dcfg.alpha * ce_v + (1.0 - dcfg.alpha) * kd_v + dcfg.beta / 2.0 * at_v
+        return total, ce_v, kd_v, at_v
+
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics = RunMetrics(layer_names=state.layer_names if state else ())
     metrics_path = os.path.join(cfg.out_dir, f"{label}_metrics.csv")
@@ -277,29 +333,7 @@ def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfi
         sums = {"total": 0.0, "ce": 0.0, "kd": 0.0, "at": 0.0}
         batches_seen = 0
         for t, (xb, yb) in enumerate(D.batches(train_ds, cfg.batch_size, cfg.seed, epoch)):
-            logits_t, taps_t = None, []
-            if need_teacher:
-                with no_grad():
-                    logits_t, taps_t = teacher.forward_with_taps(xb, training=False)
-                # the unpaired taps are freed before the student's graph is built
-                taps_t = [taps_t[j] for _, j in pairs]
-            logits, taps = model.forward_with_taps(xb, training=True)
-            ce, kd, at = loss_terms(yb, logits, logits_t, [taps[i] for i, _ in pairs], taps_t, dcfg)
-            loss = combine_terms(ce, kd, at, dcfg)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingDiverged(epoch, t, value)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            if state is not None:
-                S.apply_mask(state, model)
-                state.accumulate_momentum(opt)
-            # the logged total recombines the logged components in float64,
-            # so it does not carry the float32 rounding of `loss`
-            ce_v, kd_v, at_v = (0.0 if v is None else v.item() for v in (ce, kd, at))
-            total = dcfg.alpha * ce_v + (1.0 - dcfg.alpha) * kd_v + dcfg.beta / 2.0 * at_v
-            for k, v in zip(sums, (total, ce_v, kd_v, at_v)):
+            for k, v in zip(sums, step(xb, yb, epoch, t)):
                 sums[k] += v
             batches_seen += 1
         # accuracy reflects the state the epoch trained into; the boundary
@@ -392,7 +426,8 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None)
     is how resumability is exercised.
     """
     train_ds, test_ds = load_datasets(cfg)
-    teacher, t_manifest, _, _ = model_from_checkpoint(teacher_ckpt)
+    # the loaded arrays are dropped here, not held through the whole run
+    teacher, t_manifest = model_from_checkpoint(teacher_ckpt)[:2]
     if t_manifest.get("kind") != "teacher":
         raise ConfigError(f"--teacher checkpoint {teacher_ckpt} is a {t_manifest.get('kind')!r} "
                           "checkpoint, not a teacher")
@@ -412,6 +447,7 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None)
         start_epoch = _resume_epoch(manifest, cfg, resume)
         _copy_arrays(student, arrays, resume)
         opt.load_state_arrays(arrays)
+        del arrays  # copied into the student and the optimizer; not held through the run
         state = _restore_sparse_state(manifest, masks)
     return _fit(cfg, "student", student, opt, cfg.distill_config(), train_ds, test_ds,
                 teacher=teacher, state=state, start_epoch=start_epoch, stop_after=stop_after)

@@ -1,3 +1,7 @@
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,3 +113,88 @@ def test_cli_eval_on_corrupt_record_prints_one_error_line(tmp_path, capsys):
     assert cli_main(["eval", "--ckpt", str(path), "--dataset", "synthetic"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+
+
+def _bytearray_writer(manifest, arrays, masks):
+    """The container as the original writer built it: one bytearray of
+    every record, written at once. The streamed writer must match it."""
+    blob = bytearray(MAGIC + struct.pack("<I", 1))
+    mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    blob += struct.pack("<Q", len(mbytes)) + mbytes
+    records = [(n, 0, a) for n, a in arrays.items()] + [(n, 1, m) for n, m in masks.items()]
+    blob += struct.pack("<I", len(records))
+    for name, kind, arr in records:
+        nb = name.encode("utf-8")
+        blob += struct.pack("<H", len(nb)) + nb
+        arr = np.asarray(arr)
+        blob += struct.pack("<BB", kind, arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
+        if kind == 0:
+            payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        else:
+            payload = np.packbits(arr.reshape(-1).astype(bool)).tobytes()
+        blob += struct.pack("<Q", len(payload)) + payload
+    return bytes(blob)
+
+
+def test_streamed_writer_matches_the_bytearray_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    arrays = {
+        "param.w": rng.standard_normal((4, 3, 3, 3)).astype(np.float32),
+        "param.transposed": rng.standard_normal((5, 7)).astype(np.float32).T,  # not contiguous
+        "param.float64": rng.standard_normal(6),
+        "buf.scalar": np.float32(2.5),
+        "buf.empty": np.zeros((0, 3), dtype=np.float32),
+        "opt.größe": rng.standard_normal((2, 2)).astype(np.float32),
+    }
+    masks = {"param.w": (rng.random((4, 3, 3, 3)) > 0.5).astype(np.float32),
+             "param.odd": np.ones((3, 5), dtype=np.float32)}
+    manifest = {"kind": "student", "epoch": 2, "sparse": {"density": 0.5}}
+    path = tmp_path / "ckpt.atlt"
+    save_checkpoint(path, manifest, arrays, masks)
+    assert path.read_bytes() == _bytearray_writer(manifest, arrays, masks)
+    m2, a2, k2 = load_checkpoint(path)
+    assert m2 == manifest and list(a2) == list(arrays) and list(k2) == list(masks)
+    for n, a in arrays.items():
+        assert a2[n].dtype == np.float32 and np.array_equal(a2[n], np.asarray(a, dtype=np.float32))
+    for n, m in masks.items():
+        assert np.array_equal(k2[n], m)
+
+
+def test_bytes_after_the_last_record_are_format_error(tmp_path):
+    path = tmp_path / "ckpt.atlt"
+    save_checkpoint(path, {}, {"w": np.ones(3, dtype=np.float32)})
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(FormatError, match="1 bytes after its last record"):
+        load_checkpoint(path)
+
+
+def test_record_longer_than_the_file_is_format_error_before_allocation(tmp_path):
+    # a 47-byte file whose one record declares a 4 GiB payload that agrees
+    # with its shape; only the bytes left in the file can refuse it
+    n = 1 << 30
+    blob = (MAGIC + struct.pack("<IQ", 1, 2) + b"{}" + struct.pack("<I", 1)
+            + struct.pack("<H", 1) + b"w" + struct.pack("<BBIQ", 0, 1, n, 4 * n) + b"\0" * 8)
+    path = tmp_path / "ckpt.atlt"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="bytes needed"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("kind", [0, 1])
+@pytest.mark.parametrize("shape", [(0, 2**32 - 1, 2**32 - 1, 2**32 - 1), (1,) * 65])
+def test_shape_numpy_cannot_make_is_format_error(tmp_path, kind, shape):
+    # zero payload bytes agree with the first shape, and one float or one
+    # packed byte with the second, so only making the array can refuse them
+    plen = 0 if 0 in shape else (4 if kind == 0 else 1)
+    blob = (MAGIC + struct.pack("<IQ", 1, 2) + b"{}" + struct.pack("<I", 1) + struct.pack("<H", 1)
+            + b"w" + struct.pack(f"<BB{len(shape)}IQ", kind, len(shape), *shape, plen) + b"\0" * plen)
+    path = tmp_path / "ckpt.atlt"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="shape numpy cannot make"):
+        load_checkpoint(path)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import mpmath
 import numpy as np
 import pytest
@@ -197,6 +200,40 @@ def test_backward_accumulates_through_shared_node():
     loss = T.tsum(T.add(y, y))
     loss.backward()
     assert np.allclose(x.grad, [2.0])
+
+
+def test_second_backward_raises_graph_consumed():
+    x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+    loss = T.tsum(T.mul(T.relu(x), x))
+    loss.backward()
+    with pytest.raises(ContractError, match="graph already consumed by backward"):
+        loss.backward()
+
+
+def test_backward_frees_the_graph_as_it_goes():
+    gc.disable()  # refcounting alone must free the graph
+    try:
+        x = _activation((2, 4, 8, 8))
+        conv = T.conv2d(x, _activation((4, 4, 3, 3), 1), stride=1, pad=1)
+        h = T.relu(conv)
+        later = weakref.ref(h)
+        alive_at_conv_backward = []
+        conv_backward = conv._backward_fn
+
+        def spy(g):
+            alive_at_conv_backward.append(later() is not None)
+            return conv_backward(g)
+
+        conv._backward_fn = spy
+        loss = T.tsum(T.mul(h, h))
+        del conv, h, spy  # the caller holds only the loss
+        assert later() is not None  # the graph holds it until backward
+        loss.backward()
+        # the relu node was released before the conv's backward ran
+        assert alive_at_conv_backward == [False]
+        assert later() is None and x.grad is not None
+    finally:
+        gc.enable()
 
 
 def test_topo_order_visits_each_node_once():

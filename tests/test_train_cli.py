@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from attndistill.cli import main as cli_main
 from attndistill.config import TrainConfig
 from attndistill.errors import ConfigError, FormatError
 from attndistill.models import (
+    Model,
     build_model,
     count_params,
     spec_by_name,
@@ -128,6 +131,41 @@ def test_resume_reproduces_uninterrupted_rows(tmp_path, tiny_teacher):
         ref = target[int(row["epoch"])]
         for col in ("total_loss", "ce_loss", "kd_loss", "at_loss", "test_acc", "density"):
             assert row[col] == pytest.approx(ref[col], abs=1e-7), (col, row["epoch"])
+
+
+def test_no_step_graph_outlives_its_step(tmp_path, tiny_teacher, monkeypatch):
+    """Every forward output of step t (the teacher's and the student's
+    logits and taps) is dead when the next forward is entered."""
+    forward = Model.forward_with_taps
+    in_step, ended, alive = [], [], []
+
+    def forward_with_taps(model, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in ended))
+        ended.clear()
+        logits, taps = forward(model, *args, **kwargs)
+        in_step.extend(weakref.ref(t) for t in [logits, *taps])
+        if kwargs.get("training"):  # the trained model's forward is a step's last
+            ended.extend(in_step)
+            in_step.clear()
+        return logits, taps
+
+    monkeypatch.setattr(Model, "forward_with_taps", forward_with_taps)
+    cfg = tiny_config(tmp_path, epochs=2, lr=0.01, lr_drops=(), variant="hybrid",
+                      alpha=0.1, beta=10.0, density=0.5)
+    gc.disable()  # refcounting alone must free the step
+    try:
+        sparse_distill(cfg, tiny_teacher["ckpt"])
+    finally:
+        gc.enable()
+    # 8 steps per epoch, each a teacher and a student forward, plus the eval batches
+    assert len(alive) > 2 * 2 * 8 and not any(alive)
+
+
+def test_keep_freed_heap_does_nothing_without_mallopt(monkeypatch):
+    import attndistill.train as TR
+
+    monkeypatch.setattr(TR.ctypes, "CDLL", lambda name: object())  # a C library with no mallopt
+    TR._keep_freed_heap()
 
 
 def test_teacher_run_has_no_distillation_and_no_masks(tiny_teacher):
@@ -317,6 +355,33 @@ def test_cli_checkpoint_without_model_spec_is_format_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: FormatError: ") and "\n" not in err
+
+
+def test_cli_eval_on_a_flipped_parameter_name_is_one_format_error(tmp_path, capsys):
+    cfg = tiny_config(tmp_path, variant="conv")
+    model = build_model(toy_spec("teacher", "conv"), np.random.default_rng(0))
+    path = save_model_checkpoint(str(tmp_path / "t.atlt"), model, cfg, "teacher", 1, phases=["x"])
+    name = next(iter(model.named_params()))
+    blob = bytearray((tmp_path / "t.atlt").read_bytes())
+    blob[blob.index(f"param.{name}".encode()) + len(f"param.{name}") - 1] ^= 0x20  # still UTF-8
+    (tmp_path / "t.atlt").write_bytes(blob)
+    with pytest.raises(FormatError, match=f"missing parameter {name}"):
+        model_from_checkpoint(path)
+    assert cli_main(["eval", "--ckpt", path, "--dataset", "synthetic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+
+
+def test_checkpoint_parameter_of_the_wrong_shape_is_format_error(tmp_path):
+    cfg = tiny_config(tmp_path, variant="conv")
+    model = build_model(toy_spec("teacher", "conv"), np.random.default_rng(0))
+    path = save_model_checkpoint(str(tmp_path / "t.atlt"), model, cfg, "teacher", 1, phases=["x"])
+    manifest, arrays, _ = load_checkpoint(path)
+    name = next(iter(model.named_params()))
+    arrays[f"param.{name}"] = arrays[f"param.{name}"].reshape(-1)
+    save_checkpoint(path, manifest, arrays)
+    with pytest.raises(FormatError, match=f"parameter {name} has shape"):
+        model_from_checkpoint(path)
 
 
 def test_cli_subprocess_exit_codes(tmp_path):
