@@ -11,7 +11,9 @@ checkouts and diff the outputs: equal lines mean byte-identical artifacts.
 BLAS runs on one thread, so the digests do not depend on the core count.
 After the digests it prints the process's peak resident set and minor
 page faults to stderr, so a memory change can be compared with the same
-command.
+command. That `maxrss` is bimodal on a single tree: repeated runs of one
+checkout read either of two values about 91 MB apart (probably heap
+placement). So a memory comparison needs several runs per side.
 """
 
 import contextlib

@@ -14,6 +14,23 @@ from .distill import DistillConfig
 from .errors import ConfigError
 
 
+# field annotation -> (JSON value types it takes, how an error names them)
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "tuple": ((list, tuple), "a list of integers"),
+}
+
+
+def _fits(value, kind: str) -> bool:
+    """Whether a decoded JSON value fits a field annotated `kind`; a bool is not a number."""
+    if not isinstance(value, _KINDS[kind][0]) or (kind == "bool") != isinstance(value, bool):
+        return False
+    return kind != "tuple" or all(_fits(v, "int") for v in value)
+
+
 @dataclass
 class TrainConfig:
     # run
@@ -89,10 +106,15 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(d).__name__}")
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = set(d) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in d.items():
+            if not _fits(value, kinds[name]):
+                raise ConfigError(f"config field {name} must be {_KINDS[kinds[name]][1]}, got {value!r}")
         return cls(**d)
 
     @classmethod
@@ -105,6 +127,8 @@ class TrainConfig:
                     base = json.load(f)
                 except json.JSONDecodeError as e:
                     raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+            if not isinstance(base, dict):
+                raise ConfigError(f"config file {path} must hold a JSON object, got {type(base).__name__}")
         if overrides:
             base.update({k: v for k, v in overrides.items() if v is not None})
         return cls.from_dict(base)

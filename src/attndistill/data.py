@@ -57,7 +57,7 @@ def _normalize(raw01: np.ndarray, stats_key: str) -> np.ndarray:
     return (raw01 - mean) / std
 
 
-def load_cifar_binary(path, classes: int, stats_key: str | None = None) -> Dataset:
+def load_cifar_binary(path, classes: int) -> Dataset:
     """Decode a file of 3073-byte records: 1 label byte + 3072 RGB-plane bytes."""
     with open(path, "rb") as f:
         buf = f.read()
@@ -71,9 +71,7 @@ def load_cifar_binary(path, classes: int, stats_key: str | None = None) -> Datas
     if labels.max(initial=0) >= classes:
         raise FormatError(f"label {labels.max()} out of range for {classes} classes")
     raw = rec[:, 1:].reshape(-1, 3, IMAGE_HW, IMAGE_HW).astype(np.float32) / 255.0
-    if stats_key is None:
-        stats_key = "cifar100" if classes == 100 else "cifar10"
-    return Dataset(_normalize(raw, stats_key), labels, classes)
+    return Dataset(_normalize(raw, "cifar100" if classes == 100 else "cifar10"), labels, classes)
 
 
 def write_cifar_binary(path, raw_images: np.ndarray, labels: np.ndarray):

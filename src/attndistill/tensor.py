@@ -239,12 +239,6 @@ def _record(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
-
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a broadcast gradient back down to `shape`."""
     while g.ndim > len(shape):

@@ -132,13 +132,6 @@ def load_datasets(cfg: TrainConfig):
 # --- checkpoint plumbing ---
 
 
-def _spec_dict(spec: ModelSpec) -> dict:
-    d = asdict(spec)
-    d["widths"] = list(spec.widths)
-    d["blocks"] = list(spec.blocks)
-    return d
-
-
 def _spec_from_dict(d: dict) -> ModelSpec:
     d = dict(d)
     d["widths"] = tuple(d["widths"])
@@ -155,7 +148,7 @@ def save_model_checkpoint(path, model: Model, cfg: TrainConfig, kind: str, epoch
         "epoch": epoch,
         "phases": list(phases),
         "config": cfg.to_dict(),
-        "model_spec": _spec_dict(model.spec),
+        "model_spec": asdict(model.spec),
         "sparse": None,
     }
     if state is not None:

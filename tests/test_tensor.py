@@ -375,6 +375,18 @@ def test_float32_gradients_within_loose_tolerance():
     assert run_float32_suite(seeds=5, tolerance=1e-2) == []
 
 
+def test_primitive_suite_catches_a_doubled_backward(monkeypatch):
+    from attndistill.gradcheck_suite import run_primitive_suite
+
+    def relu_doubled(a):
+        out = a.data * (a.data > 0)
+        return T._record(out, (a,), lambda g: (2 * g * (out > 0),))
+
+    monkeypatch.setattr(T, "relu", relu_doubled)
+    failures = run_primitive_suite(coords=4, seeds=1)
+    assert [name for name, _ in failures] == ["relu"]
+
+
 def test_full_student_block_finite_differences():
     # end-to-end block loss in float64, checked at sampled coordinates
     from attndistill.models import ModelSpec, build_model

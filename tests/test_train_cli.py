@@ -339,6 +339,21 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert manifest["config"]["epochs"] == 1  # file value kept
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"epochs": "ten"}, "epochs"),
+    ({"lr_drops": ["x"]}, "lr_drops"),
+    ([1, 2], "JSON object"),
+    ({"heads": "2", "epochs": 1, "synth_train": 20, "synth_test": 10}, "heads"),
+])
+def test_cli_config_file_of_the_wrong_type_is_one_config_error(tmp_path, capsys, config, named):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps(config))
+    rc = cli_main(["train-teacher", "--config", str(cfg_file), "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1 and named in err
+
+
 def test_cli_error_is_single_parsable_line(capsys):
     rc = cli_main(["eval", "--ckpt", "/nonexistent/x.atlt", "--dataset", "synthetic"])
     assert rc == 1
