@@ -88,11 +88,6 @@ def init_attention_params(
     return p
 
 
-def attention_param_count(params: AttentionLayerParams) -> int:
-    """Trainable scalars: 3*c_in*c_out projections + (2k-1)^2*c_out positions."""
-    return 3 * params.c_in * params.c_out + (2 * params.extent - 1) ** 2 * params.c_out
-
-
 def local_self_attention(x: Tensor, params: AttentionLayerParams, return_weights: bool = False):
     """Windowed attention: per head, softmax over the valid neighborhood
     of content plus positional logits, then a convex mix of the values.

@@ -23,7 +23,8 @@ from the array itself, and `load_checkpoint` reads each float payload
 straight into a freshly allocated array, so neither holds a copy of the
 whole file. The reader checks every declared length against the bytes
 left in the file before reading or allocating anything, and rejects a
-file with bytes after its last record.
+manifest that is not a JSON object, a record name given twice within a
+kind, and bytes after the last record.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ def load_checkpoint(path):
             manifest = json.loads(r.take(mlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise FormatError(f"corrupt manifest in {path}: {e}") from e
+        if not isinstance(manifest, dict):
+            raise FormatError(f"the manifest in {path} is not a JSON object")
         (count,) = r.unpack("<I")
         arrays, masks = {}, {}
         for _ in range(count):
@@ -151,6 +154,8 @@ def load_checkpoint(path):
                 expected = -(-size // 8)
             else:
                 raise FormatError(f"unknown record kind {kind} in {path}")
+            if name in (arrays if kind == KIND_F32 else masks):
+                raise FormatError(f"record {name!r} appears twice in {path}")
             if plen != expected:
                 raise FormatError(f"record {name!r} in {path} has {plen} payload bytes, "
                                   f"shape {shape} needs {expected}")

@@ -8,6 +8,7 @@ resolved config is embedded in every checkpoint manifest and metrics run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .distill import DistillConfig
@@ -70,6 +71,9 @@ class TrainConfig:
     stem_prunable: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"config field {f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.dataset not in ("synthetic", "cifar10", "cifar100"):
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.dataset == "cifar10":

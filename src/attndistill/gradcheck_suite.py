@@ -112,7 +112,7 @@ def _suite(label, errors, seeds, tolerance, verbose):
         name, worst = case[0], 0.0
         for seed in range(seeds):
             for err in errors(case, seed):
-                worst = max(worst, err)
+                worst = float(np.maximum(worst, err))  # keeps a NaN error NaN
         ok = worst <= tolerance
         if verbose:
             print(f"{label} {name:<18} max_rel_err {worst:.3e} {'ok' if ok else 'FAIL'}")

@@ -35,12 +35,3 @@ class SGD:
             v *= self.momentum
             v += g
             p.data -= self.lr * v
-
-    def state_arrays(self) -> dict:
-        return {f"opt.{name}": v for name, v in self.velocities.items()}
-
-    def load_state_arrays(self, arrays: dict):
-        for name, v in self.velocities.items():
-            key = f"opt.{name}"
-            if key in arrays:
-                np.copyto(v, arrays[key])

@@ -23,6 +23,7 @@ import math
 import os
 import time
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from . import sparse as S
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .distill import DistillConfig, combine_terms, loss_terms
-from .errors import ConfigError, FormatError, TrainingDiverged
+from .errors import ConfigError, ContractError, FormatError, TrainingDiverged
 from .models import (
     Model,
     ModelSpec,
@@ -132,11 +133,20 @@ def load_datasets(cfg: TrainConfig):
 # --- checkpoint plumbing ---
 
 
-def _spec_from_dict(d: dict) -> ModelSpec:
-    d = dict(d)
-    d["widths"] = tuple(d["widths"])
-    d["blocks"] = tuple(d["blocks"])
-    return ModelSpec(**d)
+# the record table's prefixes, named as its errors name them
+_NOUNS = {"param": "parameter", "buf": "buffer", "opt": "velocity"}
+# the manifest's `sparse` record: these SparseState fields, no others
+_SPARSE_KEYS = ("mode", "density", "prune_rate0", "target_nonzero", "include_stem")
+# an rng stand-in whose draws are zeros, for a model whose every value is then loaded
+_NO_DRAWS = SimpleNamespace(standard_normal=np.zeros, uniform=lambda low, high, size: np.zeros(size))
+
+
+def _records(model: Model, velocities: dict | None = None) -> dict:
+    """Record name -> array: the one table a checkpoint is written from and read into."""
+    records = {f"param.{n}": t.data for n, t in model.named_params().items()}
+    records.update({f"buf.{n}": a for n, a in model.named_buffers().items()})
+    records.update({f"opt.{n}": v for n, v in (velocities or {}).items()})
+    return records
 
 
 def save_model_checkpoint(path, model: Model, cfg: TrainConfig, kind: str, epoch: int,
@@ -149,63 +159,59 @@ def save_model_checkpoint(path, model: Model, cfg: TrainConfig, kind: str, epoch
         "phases": list(phases),
         "config": cfg.to_dict(),
         "model_spec": asdict(model.spec),
-        "sparse": None,
+        "sparse": None if state is None else {k: getattr(state, k) for k in _SPARSE_KEYS},
     }
-    if state is not None:
-        manifest["sparse"] = {
-            "mode": state.mode,
-            "density": state.density,
-            "prune_rate0": state.prune_rate0,
-            "target_nonzero": state.target_nonzero,
-            "include_stem": state.include_stem,
-        }
     manifest.update(extra or {})
-    arrays = {f"param.{n}": t.data for n, t in model.named_params().items()}
-    arrays.update({f"buf.{n}": a for n, a in model.named_buffers().items()})
-    if optimizer is not None:
-        arrays.update(optimizer.state_arrays())
-    save_checkpoint(path, manifest, arrays, state.masks if state else None)
+    save_checkpoint(path, manifest, _records(model, optimizer.velocities if optimizer else None),
+                    state.masks if state else None)
     return path
 
 
-def _copy_arrays(model: Model, arrays: dict, path):
-    """Copy a checkpoint's parameters (all required) and buffers into `model`."""
-    for name, t in model.named_params().items():
-        key = f"param.{name}"
+def _restore(path, model: Model, manifest: dict, arrays: dict, masks: dict,
+             opt: SGD | None = None) -> S.SparseState | None:
+    """Copy a loaded checkpoint into `model` (and `opt`'s velocities, on
+    resume) and rebuild its SparseState, None for a run without masks.
+    Accepts exactly what `save_model_checkpoint` writes; anything else is
+    a FormatError, raised before a single value is copied."""
+    targets = _records(model, opt.velocities if opt else None)
+    shapes = {key: a.shape for key, a in targets.items()}
+    if opt is None and any(key.startswith("opt.") for key in arrays):
+        # velocities are read only on resume; elsewhere they are only checked
+        shapes.update({f"opt.{n}": t.shape for n, t in model.named_params().items()})
+    for key, shape in shapes.items():
+        kind, name = key.split(".", 1)
         if key not in arrays:
-            raise FormatError(f"checkpoint {path} is missing parameter {name}")
-        if arrays[key].shape != t.shape:
-            raise FormatError(f"checkpoint parameter {name} has shape {arrays[key].shape}, expected {t.shape}")
-        np.copyto(t.data, arrays[key])
-    for name, buf in model.named_buffers().items():
-        key = f"buf.{name}"
-        if key in arrays:
-            np.copyto(buf, arrays[key])
+            raise FormatError(f"checkpoint {path} is missing {_NOUNS[kind]} {name}")
+        if arrays[key].shape != shape:
+            raise FormatError(f"checkpoint {_NOUNS[kind]} {name} has shape {arrays[key].shape}, "
+                              f"expected {shape}")
+    unknown = sorted(set(arrays) - set(shapes))
+    if unknown:
+        raise FormatError(f"checkpoint {path} holds unknown records {unknown}")
+    meta, state = manifest.get("sparse"), None
+    if meta is not None or masks:
+        if not isinstance(meta, dict) or sorted(meta) != sorted(_SPARSE_KEYS) or meta["mode"] not in S.MODES:
+            raise FormatError(f"checkpoint {path} holds {len(masks)} masks and the sparse record {meta!r}")
+        state = S.SparseState(masks=masks, **meta)
+        try:
+            S.audit_coverage(state, model)
+        except ContractError as e:
+            raise FormatError(f"checkpoint {path}: {e}") from e
+    for key, target in targets.items():
+        np.copyto(target, arrays[key])
+    return state
 
 
 def model_from_checkpoint(path):
-    """Rebuild the model (and masks, if any) stored in a checkpoint."""
+    """Rebuild a checkpoint's model; returns (model, manifest, masks, SparseState or None)."""
     manifest, arrays, masks = load_checkpoint(path)
     try:
-        spec = _spec_from_dict(manifest["model_spec"])
+        d = manifest["model_spec"]
+        spec = ModelSpec(**dict(d, widths=tuple(d["widths"]), blocks=tuple(d["blocks"])))
     except (KeyError, TypeError) as e:
         raise FormatError(f"checkpoint {path} has no valid model_spec ({type(e).__name__}: {e})") from e
-    model = build_model(spec, np.random.default_rng(0))
-    _copy_arrays(model, arrays, path)
-    return model, manifest, masks, arrays
-
-
-def _restore_sparse_state(manifest, masks) -> S.SparseState:
-    meta = manifest["sparse"]
-    state = S.SparseState(
-        mode=meta["mode"],
-        density=meta["density"],
-        prune_rate0=meta["prune_rate0"],
-        include_stem=meta["include_stem"],
-    )
-    state.masks = dict(masks)
-    state.target_nonzero = meta["target_nonzero"]
-    return state
+    model = build_model(spec, _NO_DRAWS)
+    return model, manifest, masks, _restore(path, model, manifest, arrays, masks)
 
 
 # --- evaluation ---
@@ -223,9 +229,8 @@ def evaluate_model(model: Model, dataset: D.Dataset, batch_size: int = 100) -> f
 
 def evaluate(ckpt_path, dataset: D.Dataset, batch_size: int = 100) -> float:
     """Accuracy of a checkpoint, with its masks applied to the weights."""
-    model, manifest, masks = model_from_checkpoint(ckpt_path)[:3]  # the arrays are in `model`
-    if masks:
-        state = _restore_sparse_state(manifest, masks)
+    model, _, _, state = model_from_checkpoint(ckpt_path)
+    if state is not None:
         S.apply_mask(state, model)
     return evaluate_model(model, dataset, batch_size)
 
@@ -419,29 +424,29 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None)
     is how resumability is exercised.
     """
     train_ds, test_ds = load_datasets(cfg)
-    # the loaded arrays are dropped here, not held through the whole run
-    teacher, t_manifest = model_from_checkpoint(teacher_ckpt)[:2]
+    teacher, t_manifest, _, _ = model_from_checkpoint(teacher_ckpt)
     if t_manifest.get("kind") != "teacher":
         raise ConfigError(f"--teacher checkpoint {teacher_ckpt} is a {t_manifest.get('kind')!r} "
                           "checkpoint, not a teacher")
     student_spec = spec_by_name(cfg.depth, "student", cfg.variant, cfg.classes,
                                 cfg.extent, cfg.heads, cfg.pos_scale)
     _check_tap_compatibility(teacher.spec, student_spec)
-    student = build_model(student_spec, np.random.default_rng([cfg.seed, 2]))
-    state = S.init_mask(student, cfg.density, np.random.default_rng([cfg.seed, 3]),
-                        mode=cfg.prune_mode, prune_rate0=cfg.prune_rate0,
-                        include_stem=cfg.stem_prunable)
-    S.audit_coverage(state, student)
-    S.apply_mask(state, student)
-    opt = SGD(student.named_params(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    start_epoch = 0
+    start_epoch, loaded = 0, None
     if resume is not None:
-        manifest, arrays, masks = load_checkpoint(resume)
-        start_epoch = _resume_epoch(manifest, cfg, resume)
-        _copy_arrays(student, arrays, resume)
-        opt.load_state_arrays(arrays)
-        del arrays  # copied into the student and the optimizer; not held through the run
-        state = _restore_sparse_state(manifest, masks)
+        loaded = load_checkpoint(resume)
+        start_epoch = _resume_epoch(loaded[0], cfg, resume)
+    # a resumed student takes every value from the file, so it draws none
+    student = build_model(student_spec, _NO_DRAWS if loaded else np.random.default_rng([cfg.seed, 2]))
+    opt = SGD(student.named_params(), cfg.lr, cfg.momentum, cfg.weight_decay)
+    if loaded:
+        state = _restore(resume, student, *loaded, opt)
+        del loaded  # copied into the student and the optimizer; not held through the run
+    else:
+        state = S.init_mask(student, cfg.density, np.random.default_rng([cfg.seed, 3]),
+                            mode=cfg.prune_mode, prune_rate0=cfg.prune_rate0,
+                            include_stem=cfg.stem_prunable)
+        S.audit_coverage(state, student)
+        S.apply_mask(state, student)
     return _fit(cfg, "student", student, opt, cfg.distill_config(), train_ds, test_ds,
                 teacher=teacher, state=state, start_epoch=start_epoch, stop_after=stop_after)
 

@@ -4,7 +4,6 @@ import pytest
 import attndistill.tensor as T
 from attndistill.attention import (
     AttentionLayerParams,
-    attention_param_count,
     init_attention_params,
     local_self_attention,
 )
@@ -42,12 +41,20 @@ def brute_force_attention(xd, p):
     return out
 
 
+def valid_slots(h: int, w: int, k: int) -> np.ndarray:
+    """(H, W, k*k) mask of the neighborhood slots inside the image, with the
+    k*k offsets in row-major order."""
+    d = np.arange(k) - k // 2
+    rows = (np.arange(h)[:, None] + d >= 0) & (np.arange(h)[:, None] + d < h)  # (H, k)
+    cols = (np.arange(w)[:, None] + d >= 0) & (np.arange(w)[:, None] + d < w)  # (W, k)
+    return (rows[:, None, :, None] & cols[None, :, None, :]).reshape(h, w, k * k)
+
+
 def neighborhoods(x: np.ndarray, k: int):
     """k x k neighborhoods of an NCHW map as (B, H, W, k*k, C) patches, plus
     the (H, W, k*k) in-bounds mask: `window_gather` on the BHWC layout."""
     _, _, h, w = x.shape
-    patches = T.window_gather(Tensor(x.transpose(0, 2, 3, 1)), k)
-    return patches, T.window_validity(h, w, k).reshape(h, w, k * k)
+    return T.window_gather(Tensor(x.transpose(0, 2, 3, 1)), k), valid_slots(h, w, k)
 
 
 def test_neighborhood_extract_k1_is_identity():
@@ -150,7 +157,7 @@ def test_attention_weights_sum_to_one_on_valid_slots():
     _, attn = local_self_attention(Tensor(x), p, return_weights=True)
     w = attn.data  # (B, P, N, K)
     assert np.abs(w.sum(axis=3) - 1.0).max() <= 1e-6
-    invalid = ~T.window_validity(4, 4, 3)  # (P, K)
+    invalid = ~valid_slots(4, 4, 3).reshape(16, 9)  # (P, K)
     invalid4 = np.broadcast_to(invalid[None, :, None, :], w.shape)
     assert (w[invalid4] == 0.0).all()
 
@@ -188,18 +195,6 @@ def test_head_isolation():
     y2 = local_self_attention(Tensor(x), p).data
     assert np.array_equal(y[:, :4], y2[:, :4])
     assert not np.allclose(y[:, 4:], y2[:, 4:])
-
-
-def test_param_count_formula():
-    p = AttentionLayerParams(64, 64, 8, 7)
-    assert attention_param_count(p) == 3 * 4096 + 169 * 64 == 23104
-
-
-def test_param_count_matches_allocation():
-    rng = np.random.default_rng(7)
-    p = init_attention_params(6, 8, 2, 5, rng)
-    allocated = sum(t.size for t in p.tensors().values())
-    assert attention_param_count(p) == allocated
 
 
 def test_projection_count_independent_of_extent():

@@ -198,3 +198,20 @@ def test_shape_numpy_cannot_make_is_format_error(tmp_path, kind, shape):
     path.write_bytes(blob)
     with pytest.raises(FormatError, match="shape numpy cannot make"):
         load_checkpoint(path)
+
+
+def test_manifest_that_is_not_an_object_is_format_error(tmp_path):
+    path = tmp_path / "ckpt.atlt"
+    save_checkpoint(path, [1, 2], {})
+    with pytest.raises(FormatError, match="not a JSON object"):
+        load_checkpoint(path)
+
+
+def test_record_name_given_twice_is_format_error(tmp_path):
+    # a float record and a mask may share a name (the streamed-writer test
+    # has one); two float records may not
+    record = struct.pack("<H", 1) + b"w" + struct.pack("<BBIQ", 0, 1, 1, 4) + b"\0" * 4
+    path = tmp_path / "ckpt.atlt"
+    path.write_bytes(MAGIC + struct.pack("<IQ", 1, 2) + b"{}" + struct.pack("<I", 2) + record + record)
+    with pytest.raises(FormatError, match="appears twice"):
+        load_checkpoint(path)

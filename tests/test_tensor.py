@@ -387,6 +387,19 @@ def test_primitive_suite_catches_a_doubled_backward(monkeypatch):
     assert [name for name, _ in failures] == ["relu"]
 
 
+def test_both_suites_fail_a_nan_backward(monkeypatch):
+    from attndistill.gradcheck_suite import run_float32_suite, run_primitive_suite
+
+    def relu_nan(a):
+        out = a.data * (a.data > 0)
+        return T._record(out, (a,), lambda g: (np.full_like(g, np.nan),))
+
+    monkeypatch.setattr(T, "relu", relu_nan)
+    for failures in (run_primitive_suite(coords=4, seeds=1), run_float32_suite(seeds=1)):
+        assert [name for name, _ in failures] == ["relu"]
+        assert np.isnan(failures[0][1])
+
+
 def test_full_student_block_finite_differences():
     # end-to-end block loss in float64, checked at sampled coordinates
     from attndistill.models import ModelSpec, build_model

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import weakref
@@ -113,24 +114,33 @@ def test_deterministic_runs_byte_identical(tmp_path, tiny_teacher, prune_mode):
 
 
 def test_resume_reproduces_uninterrupted_rows(tmp_path, tiny_teacher):
-    full_cfg = tiny_config(tmp_path / "full", epochs=4, lr=0.01, lr_drops=(), variant="hybrid",
-                           alpha=0.1, beta=10.0, density=0.5)
-    _, full_metrics = sparse_distill(full_cfg, tiny_teacher["ckpt"])
+    for mode in ("irregular", "column"):
+        run = dict(epochs=4, lr=0.01, lr_drops=(), variant="hybrid", alpha=0.1, beta=10.0,
+                   density=0.5, prune_mode=mode)
+        full_ckpt, full_metrics = sparse_distill(tiny_config(tmp_path / mode / "full", **run),
+                                                 tiny_teacher["ckpt"])
 
-    # the same 4-epoch run, interrupted after 2 completed epochs
-    part_cfg = tiny_config(tmp_path / "part", epochs=4, lr=0.01, lr_drops=(), variant="hybrid",
-                           alpha=0.1, beta=10.0, density=0.5)
-    sparse_distill(part_cfg, tiny_teacher["ckpt"], stop_after=2)
-    resume_cfg = tiny_config(tmp_path / "resumed", epochs=4, lr=0.01, lr_drops=(), variant="hybrid",
-                             alpha=0.1, beta=10.0, density=0.5)
-    _, resumed = sparse_distill(resume_cfg, tiny_teacher["ckpt"],
-                                resume=os.path.join(part_cfg.out_dir, "student_last.atlt"))
-    assert [int(r["epoch"]) for r in resumed.rows] == [2, 3]
-    target = {int(r["epoch"]): r for r in full_metrics.rows}
-    for row in resumed.rows:
-        ref = target[int(row["epoch"])]
-        for col in ("total_loss", "ce_loss", "kd_loss", "at_loss", "test_acc", "density"):
-            assert row[col] == pytest.approx(ref[col], abs=1e-7), (col, row["epoch"])
+        # the same 4-epoch run, interrupted after 2 completed epochs
+        part_cfg = tiny_config(tmp_path / mode / "part", **run)
+        sparse_distill(part_cfg, tiny_teacher["ckpt"], stop_after=2)
+        resumed_ckpt, resumed = sparse_distill(tiny_config(tmp_path / mode / "resumed", **run),
+                                               tiny_teacher["ckpt"],
+                                               resume=os.path.join(part_cfg.out_dir, "student_last.atlt"))
+        assert [int(r["epoch"]) for r in resumed.rows] == [2, 3]
+        target = {int(r["epoch"]): r for r in full_metrics.rows}
+        for row in resumed.rows:
+            ref = target[int(row["epoch"])]
+            for col in ("total_loss", "ce_loss", "kd_loss", "at_loss", "test_acc", "density"):
+                assert row[col] == pytest.approx(ref[col], abs=1e-7), (mode, col, row["epoch"])
+
+        # the final checkpoints agree bit for bit, but for where each run wrote
+        (m_full, a_full, k_full), (m_res, a_res, k_res) = map(load_checkpoint, (full_ckpt, resumed_ckpt))
+        assert m_full["config"].pop("out_dir") != m_res["config"].pop("out_dir")
+        assert m_full == m_res, mode
+        for mine, theirs in ((a_full, a_res), (k_full, k_res)):
+            assert list(mine) == list(theirs), mode
+            for name, arr in mine.items():
+                assert arr.shape == theirs[name].shape and arr.tobytes() == theirs[name].tobytes(), (mode, name)
 
 
 def test_no_step_graph_outlives_its_step(tmp_path, tiny_teacher, monkeypatch):
@@ -397,6 +407,108 @@ def test_checkpoint_parameter_of_the_wrong_shape_is_format_error(tmp_path):
     save_checkpoint(path, manifest, arrays)
     with pytest.raises(FormatError, match=f"parameter {name} has shape"):
         model_from_checkpoint(path)
+
+
+def _records_in(path):
+    """(name, kind, offset of the name's last byte) of every record in a
+    checkpoint file; kind 0 is a float array, 1 a mask."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    (mlen,) = struct.unpack_from("<Q", blob, 8)
+    at = 16 + mlen
+    (count,) = struct.unpack_from("<I", blob, at)
+    at += 4
+    out = []
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", blob, at)
+        at += 2
+        name = blob[at : at + nlen].decode()
+        at += nlen
+        kind, ndim = blob[at], blob[at + 1]
+        (plen,) = struct.unpack_from("<Q", blob, at + 2 + 4 * ndim)
+        out.append((name, kind, at - 1))
+        at += 2 + 4 * ndim + 8 + plen
+    return out
+
+
+def _renamed(tmp_path, src, last_byte):
+    with open(src, "rb") as f:
+        blob = bytearray(f.read())
+    blob[last_byte] ^= 0x20  # still UTF-8
+    path = tmp_path / "renamed.atlt"
+    path.write_bytes(blob)
+    return str(path)
+
+
+@pytest.mark.parametrize("group", ["param.", "buf.", "opt.", "mask"])
+def test_every_renamed_record_is_format_error(tmp_path, interrupted_run, group):
+    offsets = [at for name, kind, at in _records_in(interrupted_run)
+               if (kind == 1 if group == "mask" else name.startswith(group))]
+    assert offsets
+    for at in offsets:
+        with pytest.raises(FormatError):
+            model_from_checkpoint(_renamed(tmp_path, interrupted_run, at))
+
+
+def test_buffer_of_one_element_is_format_error(tmp_path, interrupted_run):
+    manifest, arrays, masks = load_checkpoint(interrupted_run)
+    key = next(k for k in arrays if k.startswith("buf."))
+    assert arrays[key].shape != (1,)
+    arrays[key] = arrays[key][:1]  # numpy would broadcast it into the buffer
+    path = str(tmp_path / "short.atlt")
+    save_checkpoint(path, manifest, arrays, masks)
+    with pytest.raises(FormatError, match=f"buffer {key[4:]} has shape"):
+        model_from_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage", ["mode", "density", "prune_rate0", "target_nonzero", "include_stem", None])
+def test_incomplete_sparse_record_is_one_format_error(tmp_path, capsys, interrupted_run, damage):
+    manifest, arrays, masks = load_checkpoint(interrupted_run)
+    if damage is None:
+        manifest["sparse"] = None
+    else:
+        del manifest["sparse"][damage]
+    path = str(tmp_path / "sparse.atlt")
+    save_checkpoint(path, manifest, arrays, masks)
+    with pytest.raises(FormatError, match="sparse record"):
+        model_from_checkpoint(path)
+    assert cli_main(["eval", "--ckpt", path, "--dataset", "synthetic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+
+
+def test_resume_from_a_renamed_velocity_is_format_error(tmp_path, tiny_teacher, interrupted_run):
+    at = next(at for name, _, at in _records_in(interrupted_run) if name.startswith("opt."))
+    path = _renamed(tmp_path, interrupted_run, at)
+    cfg = tiny_config(tmp_path / "out", **RESUMED_RUN)
+    with pytest.raises(FormatError, match="missing velocity"):
+        sparse_distill(cfg, tiny_teacher["ckpt"], resume=path)
+
+
+def test_model_from_checkpoint_draws_no_random_numbers(tiny_teacher, interrupted_run, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for path in (tiny_teacher["ckpt"], interrupted_run):
+        _, _, masks, state = model_from_checkpoint(path)
+        assert (state is None) == (not masks)
+
+
+@pytest.mark.parametrize("entry, flags, named", [
+    ('"lr": NaN', [], "lr"),
+    ('"weight_decay": Infinity', [], "weight_decay"),
+    ('"lr_drop_factor": NaN', [], "lr_drop_factor"),
+    ('"temperature": NaN', [], "temperature"),
+    ('"lr": 0.1', ["--lr", "nan"], "lr"),
+], ids=["lr", "weight_decay", "lr_drop_factor", "temperature", "lr_flag"])
+def test_cli_non_finite_config_float_is_one_config_error(tmp_path, capsys, entry, flags, named):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text('{"epochs": 1, "synth_train": 20, "synth_test": 10, %s}' % entry)
+    rc = cli_main(["train-teacher", "--config", str(cfg_file), "--out-dir", str(tmp_path / "o"), *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1 and f"field {named} " in err
 
 
 def test_cli_subprocess_exit_codes(tmp_path):
