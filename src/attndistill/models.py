@@ -13,7 +13,13 @@ spatial convolutions are replaced by local self-attention:
 The FLOP counter tallies multiply-accumulates of convolutions, attention
 projections/logits/mixing, and the classifier, each counted as 2 FLOPs per
 MAC. Elementwise work (batch norm, ReLU, pooling, residual adds) is
-excluded; this convention is applied to teachers and students alike.
+excluded; this convention is applied to teachers and students alike. Given
+masks, the counter charges a masked weight's multiplies at its nonzero
+entries only.
+
+While a column-mode student is evaluated, `sparse.compacted` fills the
+`live` of each conv and attention layer with a dead weight column with
+the live columns and the weight matrix on them; the forward passes them on.
 """
 
 from __future__ import annotations
@@ -106,15 +112,17 @@ class Conv2d:
         self.w = Tensor((rng.standard_normal((cout, cin, k, k)) * std).astype(T.default_dtype()),
                         requires_grad=True)
         self.h_in = self.h_out = 0  # filled in by the model builder
+        self.live = {}
 
     def forward(self, x):
-        return T.conv2d(x, self.w, stride=self.stride, pad=self.pad)
+        return T.conv2d(x, self.w, stride=self.stride, pad=self.pad, live=self.live.get("w"))
 
     def params(self):
         return {"w": self.w}
 
-    def flops(self):
-        return 2 * self.k * self.k * self.cin * self.cout * self.h_out * self.h_out
+    def flops(self, nonzero=None):
+        """2 FLOPs per MAC; `nonzero` maps a masked weight's name to its nonzero count."""
+        return 2 * self.h_out * self.h_out * (nonzero or {}).get("w", self.w.size)
 
 
 class SelfAttention:
@@ -124,16 +132,19 @@ class SelfAttention:
         self.p = init_attention_params(cin, cout, heads, extent, rng, stride, pos_scale)
         self.cin, self.cout, self.k = cin, cout, extent
         self.h_in = self.h_out = 0
+        self.live = {}
 
     def forward(self, x):
-        return local_self_attention(x, self.p)
+        live = tuple(self.live[n] for n in ("w_q", "w_k", "w_v")) if self.live else None
+        return local_self_attention(x, self.p, live=live)
 
     def params(self):
         return self.p.tensors()
 
-    def flops(self):
+    def flops(self, nonzero=None):
         hw = self.h_in * self.h_in  # logits and mixing run at input resolution
-        return 2 * 3 * self.cin * self.cout * hw + 3 * (2 * self.k * self.k * self.cout * hw)
+        proj = sum((nonzero or {}).get(n, self.cin * self.cout) for n in ("w_q", "w_k", "w_v"))
+        return 2 * proj * hw + 3 * (2 * self.k * self.k * self.cout * hw)
 
 
 class BatchNorm:
@@ -168,7 +179,7 @@ class Linear:
     def params(self):
         return {"w": self.w, "b": self.b}
 
-    def flops(self):
+    def flops(self, nonzero=None):
         return 2 * self.cin * self.cout
 
 
@@ -337,6 +348,10 @@ def count_params(model: Model, masks: dict | None = None):
     return total, total - masked_off
 
 
-def count_flops(model: Model) -> int:
-    """Forward-pass FLOPs (2 per MAC) of conv/attention/linear layers."""
-    return sum(layer.flops() for _, layer in model.named_layers() if not isinstance(layer, BatchNorm))
+def count_flops(model: Model, masks: dict | None = None) -> int:
+    """Forward-pass FLOPs (2 per MAC) of conv/attention/linear layers; a
+    weight in `masks` is charged at its nonzero entries only."""
+    masks = masks or {}
+    return sum(layer.flops({n: int(np.count_nonzero(masks[f"{prefix}.{n}"]))
+                            for n in layer.params() if f"{prefix}.{n}" in masks})
+               for prefix, layer in model.named_layers() if not isinstance(layer, BatchNorm))

@@ -23,6 +23,7 @@ reproducible.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,6 +267,34 @@ def _check_uniform(m: np.ndarray):
     col_on = m.sum(axis=0)
     if not np.all((col_on == 0) | (col_on == m.shape[0])):
         raise ContractError("column mask lost its column-uniform structure")
+
+
+@contextmanager
+def compacted(state: SparseState | None, model: Model):
+    """Column mode: for the `with` body, give each masked layer the live
+    `_as_matrix` columns of its weights (those with any mask entry 1) and
+    the weight matrix on them, so its forward multiplies only those. A
+    layer with no dead column gets nothing and keeps its dense GEMM; in an
+    attention layer with some, a projection with none takes all its
+    columns, as views. Built once, on entry, and removed on exit, also
+    when the body raises; any other state gives nothing. The primitives
+    refuse them while a graph is recorded: training keeps dense gradients
+    for regrowth."""
+    live = {}
+    if state is not None and state.mode == "column":
+        live = {n: _as_matrix(m).any(axis=0) for n, m in state.masks.items()}
+    partial = {n.rsplit(".", 1)[0] for n, cols in live.items() if not cols.all()}
+    layers, params = dict(model.named_layers()), model.named_params()
+    try:
+        for name, cols in live.items():
+            prefix, weight = name.rsplit(".", 1)
+            if prefix in partial:
+                idx = slice(None) if cols.all() else np.flatnonzero(cols)
+                layers[prefix].live[weight] = (idx, _as_matrix(params[name].data)[:, idx])
+        yield
+    finally:
+        for prefix in partial:
+            layers[prefix].live.clear()
 
 
 def audit_coverage(state: SparseState, model: Model):

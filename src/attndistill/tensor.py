@@ -415,7 +415,7 @@ def log_softmax(a: Tensor, axis: int) -> Tensor:
 # --- convolution and pooling ---
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, live=None) -> Tensor:
     """Cross-correlation of NCHW input with OIHW weights, zero padding.
 
     Forward is im2col plus one batched GEMM. A 1x1 stride-1 unpadded
@@ -427,6 +427,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     result does not depend on the order the images are added in, and its
     error is that of one float32 contraction over the batch. The input
     gradient is skipped when the input does not require grad (the stem).
+
+    `live` = (indices, weight matrix on them) multiplies only those columns
+    of the (C_out, C_in*kh*kw) weight matrix, the others being zero: a 1x1
+    kernel gathers the live input channels, any other the live im2col rows,
+    each image's into one contiguous block. It is refused while a graph is
+    recorded.
     """
     B, cin, H, W = x.shape
     cout, cin_w, kh, kw = w.shape
@@ -437,7 +443,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {kh}")
     pointwise = kh == kw == 1 and stride == 1 and pad == 0
-    if pointwise:
+    if live is not None:
+        _contract(not _grad_enabled(), "conv2d reads only live columns when no graph is recorded")
+    wmat = w.data.reshape(cout, cin * kh * kw) if live is None else live[1]
+    if live is not None and kh == kw == 1 and pad == 0:
+        cols2 = np.take(x.data[:, :, ::stride, ::stride], live[0], axis=1).reshape(B, -1, ho * wo)
+    elif pointwise:
         cols2 = x.data.reshape(B, cin, H * W)
     else:
         xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
@@ -446,7 +457,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             for dj in range(kw):
                 cols[:, :, di, dj] = xp[:, :, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
         cols2 = cols.reshape(B, cin * kh * kw, ho * wo)
-    wmat = w.data.reshape(cout, cin * kh * kw)
+        if live is not None:
+            cols2 = np.take(cols2, live[0], axis=1)
     out = np.matmul(wmat[None], cols2).reshape(B, cout, ho, wo)
 
     def bw(g):
@@ -672,7 +684,7 @@ def _batch_last(a: np.ndarray) -> np.ndarray:
 
 
 def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: Tensor,
-                    content_scale: float, pos_scale: float, return_weights: bool = False):
+                    content_scale: float, pos_scale: float, return_weights: bool = False, live=None):
     """Multi-head k x k local self-attention of an NCHW map, one graph node.
 
     x is (B, c_in, H, W); w_q, w_k, w_v are (c_in, c_out); rel_pos is
@@ -680,7 +692,10 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
     used. Logits are content_scale * q.k + pos_scale * q.r per head and
     neighbor offset; out-of-image slots get an exactly-zero softmax weight.
     Returns the (B, c_out, H, W) output, plus the (B, H*W, heads, k*k)
-    weights as a constant tensor when `return_weights` is set.
+    weights as a constant tensor when `return_weights` is set. `live`, one
+    (input channels, (c_out, n) weight matrix on them) pair per projection
+    in q, k, v order, projects only those channels, the others' weight rows
+    being zero; it is refused while a graph is recorded.
 
     The arithmetic is that of a channel-major (B, heads, c, H, W)
     formulation: projections by BLAS, keys and values zero-padded by k//2,
@@ -707,8 +722,13 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
     sc, sp = dtype.type(content_scale), dtype.type(pos_scale)
 
     xt = _batch_last(x.data).reshape(c_in, M)
-    w_all = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)  # (c_in, 3 c_out)
-    qkv = w_all.T @ xt
+    if live is None:
+        qkv = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1).T @ xt  # (3 c_out, M)
+    else:
+        _contract(not _grad_enabled(), "local_attention reads only live columns when no graph is recorded")
+        qkv = np.empty((3 * c_out, M), dtype=dtype)
+        for rows, (idx, wmat) in zip(np.split(qkv, 3), live):
+            np.matmul(wmat, xt[idx], out=rows)
     q = qkv[:c_out].reshape(N, ch, H, W, B).copy()  # the graph keeps q, not all of qkv
     qc = q * sc
     kvp = np.zeros((2, N, ch, H + 2 * half, W + 2 * half, B), dtype=dtype)

@@ -141,6 +141,11 @@ _SPARSE_KEYS = ("mode", "density", "prune_rate0", "target_nonzero", "include_ste
 _NO_DRAWS = SimpleNamespace(standard_normal=np.zeros, uniform=lambda low, high, size: np.zeros(size))
 
 
+def _finite(v) -> bool:
+    """An int or a finite float; a bool is neither."""
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
 def _records(model: Model, velocities: dict | None = None) -> dict:
     """Record name -> array: the one table a checkpoint is written from and read into."""
     records = {f"param.{n}": t.data for n, t in model.named_params().items()}
@@ -190,11 +195,15 @@ def _restore(path, model: Model, manifest: dict, arrays: dict, masks: dict,
         raise FormatError(f"checkpoint {path} holds unknown records {unknown}")
     meta, state = manifest.get("sparse"), None
     if meta is not None or masks:
-        if not isinstance(meta, dict) or sorted(meta) != sorted(_SPARSE_KEYS) or meta["mode"] not in S.MODES:
+        if (not isinstance(meta, dict) or sorted(meta) != sorted(_SPARSE_KEYS) or meta["mode"] not in S.MODES
+                or not (_finite(meta["density"]) and 0 < meta["density"] <= 1)
+                or not _finite(meta["prune_rate0"]) or type(meta["include_stem"]) is not bool
+                or type(meta["target_nonzero"]) is not int or meta["target_nonzero"] < 0):
             raise FormatError(f"checkpoint {path} holds {len(masks)} masks and the sparse record {meta!r}")
         state = S.SparseState(masks=masks, **meta)
         try:
             S.audit_coverage(state, model)
+            S._check_budget(state)
         except ContractError as e:
             raise FormatError(f"checkpoint {path}: {e}") from e
     for key, target in targets.items():
@@ -217,10 +226,12 @@ def model_from_checkpoint(path):
 # --- evaluation ---
 
 
-def evaluate_model(model: Model, dataset: D.Dataset, batch_size: int = 100) -> float:
-    """Top-1 accuracy with eval-mode normalization statistics."""
+def evaluate_model(model: Model, dataset: D.Dataset, batch_size: int = 100,
+                   state: S.SparseState | None = None) -> float:
+    """Top-1 accuracy with eval-mode normalization statistics. A column-mode
+    `state`'s masked weights multiply only their live columns (`S.compacted`)."""
     correct = 0
-    with no_grad():
+    with no_grad(), S.compacted(state, model):
         for xb, yb in D.batches(dataset, batch_size, seed=0, epoch=0, train=False):
             logits, _ = model.forward_with_taps(xb, training=False)
             correct += int((logits.data.argmax(axis=1) == yb).sum())
@@ -232,7 +243,7 @@ def evaluate(ckpt_path, dataset: D.Dataset, batch_size: int = 100) -> float:
     model, _, _, state = model_from_checkpoint(ckpt_path)
     if state is not None:
         S.apply_mask(state, model)
-    return evaluate_model(model, dataset, batch_size)
+    return evaluate_model(model, dataset, batch_size, state)
 
 
 # --- the epoch loop ---
@@ -337,7 +348,7 @@ def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfi
         # accuracy reflects the state the epoch trained into; the boundary
         # mask update below prepares the *next* epoch, so the final epoch
         # keeps its trained topology
-        acc = evaluate_model(model, test_ds, cfg.batch_size)
+        acc = evaluate_model(model, test_ds, cfg.batch_size, state)
         if state is not None and epoch < cfg.epochs - 1:
             state.p_e = S.decay_prune_rate(cfg.prune_rate0, epoch, cfg.epochs)
             boundary = S.prune_regrow_epoch if state.mode == "irregular" else S.column_prune_regrow_epoch
@@ -461,18 +472,19 @@ def report(teacher_ckpt, student_ckpt) -> dict:
     t_total, t_nonzero = count_params(teacher, t_masks or None)
     s_total, s_nonzero = count_params(student, s_masks or None)
     t_flops, s_flops = count_flops(teacher), count_flops(student)
+    t_nz_flops, s_nz_flops = count_flops(teacher, t_masks), count_flops(student, s_masks)
     return {
-        "teacher": {"params": t_total, "nonzero": t_nonzero, "flops": t_flops},
-        "student": {"params": s_total, "nonzero": s_nonzero, "flops": s_flops},
+        "teacher": {"params": t_total, "nonzero": t_nonzero, "flops": t_flops, "nonzero_flops": t_nz_flops},
+        "student": {"params": s_total, "nonzero": s_nonzero, "flops": s_flops, "nonzero_flops": s_nz_flops},
         "param_ratio": t_nonzero / s_nonzero,
         "flops_ratio": t_flops / s_flops,
+        "nonzero_flops_ratio": t_nz_flops / s_nz_flops,
     }
 
 
 def format_report(r: dict) -> str:
-    lines = [
-        f"teacher  params {r['teacher']['params']:>12,}  nonzero {r['teacher']['nonzero']:>12,}  flops {r['teacher']['flops']:>14,}",
-        f"student  params {r['student']['params']:>12,}  nonzero {r['student']['nonzero']:>12,}  flops {r['student']['flops']:>14,}",
-        f"ratios   params(teacher/student nonzero) {r['param_ratio']:.2f}x  flops {r['flops_ratio']:.2f}x",
-    ]
+    lines = [f"{k:<8} params {r[k]['params']:>12,}  nonzero {r[k]['nonzero']:>12,}  flops {r[k]['flops']:>14,}"
+             f"  nonzero flops {r[k]['nonzero_flops']:>14,}" for k in ("teacher", "student")]
+    lines.append(f"ratios   params(teacher/student nonzero) {r['param_ratio']:.2f}x  flops {r['flops_ratio']:.2f}x"
+                 f"  nonzero flops {r['nonzero_flops_ratio']:.2f}x")
     return "\n".join(lines)

@@ -6,6 +6,7 @@ from attndistill.models import (
     Conv2d,
     ModelSpec,
     build_model,
+    count_flops,
     count_params,
     spec_by_name,
     student_spec,
@@ -116,6 +117,33 @@ def test_single_attention_flops_hand_value():
     m = build_model(spec, np.random.default_rng(12))
     sa = next(l for n, l in m.named_layers() if n == "s0.b0.sa")
     assert sa.flops() == 2 * 3 * 64 * 64 * 64 + 3 * (2 * 9 * 64 * 64) == 1_794_048
+
+
+def test_column_masked_flops_hand_values():
+    spec = ModelSpec("student", "hybrid", "toy", (64,), (1,), 3, 8, classes=2, input_hw=8, expansion=1)
+    m = build_model(spec, np.random.default_rng(12))
+    dense = count_flops(m)
+    half = np.zeros((64, 64, 1, 1), dtype=np.float32)
+    half[:, ::2] = 1  # 32 of the 64 input channels (matrix columns) live
+    conv1 = count_flops(m, {"s0.b0.conv1.w": half})
+    assert dense - conv1 == 2 * 64 * 64 * 64 - 2 * 32 * 64 * 64 == 262_144
+    rows = np.zeros((64, 64), dtype=np.float32)
+    rows[::2] = 1  # a projection is (c_in, c_out): its matrix columns are rows
+    sa = count_flops(m, {f"s0.b0.sa.{n}": rows for n in ("w_q", "w_k", "w_v")})
+    sa_dense = next(l for n, l in m.named_layers() if n == "s0.b0.sa").flops()
+    # projections halve; content logits, positional logits and mixing stay dense
+    assert sa - (dense - sa_dense) == 2 * 3 * 32 * 64 * 64 + 3 * (2 * 9 * 64 * 64) == 1_007_616
+
+
+@pytest.mark.parametrize("spec", [toy_spec("teacher", "conv"), toy_spec("student", "hybrid"),
+                                  toy_spec("student", "homogeneous")], ids=lambda s: s.variant)
+@pytest.mark.parametrize("mode", ["irregular", "column"])
+def test_all_ones_masks_count_the_dense_flops(spec, mode):
+    from attndistill.sparse import init_mask
+
+    m = build_model(spec, np.random.default_rng(0))
+    assert count_flops(m, init_mask(m, 1.0, np.random.default_rng(1), mode=mode).masks) == count_flops(m)
+    assert count_flops(m, init_mask(m, 0.5, np.random.default_rng(1), mode=mode).masks) < count_flops(m)
 
 
 def test_attention_flops_grow_only_through_logit_terms():

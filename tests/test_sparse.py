@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attndistill.errors import ConfigError, ContractError
-from attndistill.models import ModelSpec, build_model, toy_spec
+from attndistill.models import ModelSpec, build_model, student_spec, toy_spec
 from attndistill.optim import SGD
 from attndistill.sparse import (
     _as_matrix,
@@ -13,11 +13,12 @@ from attndistill.sparse import (
     apply_mask,
     audit_coverage,
     column_prune_regrow_epoch,
+    compacted,
     decay_prune_rate,
     init_mask,
     prune_regrow_epoch,
 )
-from attndistill.tensor import Tensor
+from attndistill.tensor import Tensor, no_grad
 
 
 def _toy_student(seed=0):
@@ -481,3 +482,72 @@ def test_column_budget_drift_raises_at_every_boundary():
     state.p_e = 0.3
     with pytest.raises(ContractError, match="column budget"):
         column_prune_regrow_epoch(state, m, opt)
+
+
+COMPACTED_MODELS = {
+    "toy-hybrid": (toy_spec("student", "hybrid"), True),
+    "toy-homogeneous": (toy_spec("student", "homogeneous"), True),
+    "toy-hybrid-dense-stem": (toy_spec("student", "hybrid"), False),
+    "student26-hybrid": (student_spec("student26", "hybrid"), True),
+}
+
+
+def _column_student(name, seed=0):
+    spec, include_stem = COMPACTED_MODELS[name]
+    m = build_model(spec, np.random.default_rng(seed))
+    state = init_mask(m, 0.5, np.random.default_rng(seed + 1), mode="column", include_stem=include_stem)
+    apply_mask(state, m)
+    return m, state
+
+
+def _live_layers(m):
+    return {n for n, layer in m.named_layers() if getattr(layer, "live", None)}
+
+
+@pytest.mark.parametrize("name", list(COMPACTED_MODELS))
+def test_compacted_forward_matches_masked_dense_forward(name):
+    m, state = _column_student(name)
+    x = Tensor(np.random.default_rng(9).standard_normal((2, 3, 32, 32)).astype(np.float32))
+    with no_grad():
+        dense = m.forward_with_taps(x)
+        with compacted(state, m):
+            assert _live_layers(m) == {n.rsplit(".", 1)[0] for n in state.masks}
+            for p in m.prunable(include_stem=state.include_stem).values():
+                p.data[...] = np.nan  # the forward may read only the live weight slices
+            comp = m.forward_with_taps(x)
+    assert not _live_layers(m)
+    for want, got in zip([dense[0], *dense[1]], [comp[0], *comp[1]]):
+        assert np.abs(got.data - want.data).max() <= 1e-5 * np.abs(want.data).max()
+
+
+@pytest.mark.parametrize("name", ["toy-hybrid", "toy-homogeneous"])  # conv stem, attention stem
+def test_compacted_forward_is_refused_while_a_graph_is_recorded(name):
+    m, state = _column_student(name)
+    x = Tensor(np.zeros((2, 3, 32, 32), dtype=np.float32))
+    with compacted(state, m), pytest.raises(ContractError, match="no graph is recorded"):
+        m.forward_with_taps(x, training=False)
+    assert not _live_layers(m)
+
+
+def test_compacted_keeps_the_dense_gemm_where_no_column_is_dead():
+    m, state = _column_student("toy-hybrid")
+    state.masks["s0.b0.conv1.w"][...] = 1
+    state.masks["s1.b0.sa.w_v"][...] = 1
+    x = Tensor(np.random.default_rng(9).standard_normal((2, 3, 32, 32)).astype(np.float32))
+    with no_grad():
+        dense, _ = m.forward_with_taps(x)
+        with compacted(state, m):
+            layers = dict(m.named_layers())
+            assert "s0.b0.conv1" not in _live_layers(m)
+            sa = layers["s1.b0.sa"].live
+            assert sa["w_v"][0] == slice(None) and isinstance(sa["w_q"][0], np.ndarray)
+            comp, _ = m.forward_with_taps(x)
+    assert not _live_layers(m)
+    assert np.abs(comp.data - dense.data).max() <= 1e-5 * np.abs(dense.data).max()
+
+
+def test_compacted_gives_nothing_outside_column_mode():
+    m = _toy_student()
+    for state in (None, init_mask(m, 0.5, np.random.default_rng(1))):
+        with compacted(state, m):
+            assert not _live_layers(m)

@@ -250,6 +250,47 @@ def test_column_mode_distill_end_to_end(tmp_path, tiny_teacher):
     assert metrics.rows[-1]["density"] == pytest.approx(0.5, abs=0.05)
 
 
+def test_column_mode_eval_command_equals_the_last_epoch_accuracy(tmp_path, capsys, tiny_teacher):
+    cfg = tiny_config(tmp_path, epochs=2, lr=0.01, lr_drops=(), variant="hybrid",
+                      alpha=0.1, beta=10.0, density=0.5, prune_mode="column")
+    ckpt, metrics = sparse_distill(cfg, tiny_teacher["ckpt"])
+    (tmp_path / "run.json").write_text(json.dumps(cfg.to_dict()))
+    capsys.readouterr()
+    assert cli_main(["eval", "--ckpt", ckpt, "--config", str(tmp_path / "run.json")]) == 0
+    assert capsys.readouterr().out == f"accuracy: {metrics.rows[-1]['test_acc']:.4f}\n"
+    _, test_ds = load_datasets(cfg)
+    assert evaluate(ckpt, test_ds, cfg.batch_size) == metrics.rows[-1]["test_acc"]
+
+
+def test_evaluate_model_detaches_the_live_slices(tmp_path, monkeypatch):
+    from attndistill.errors import NumericError
+    from attndistill.sparse import apply_mask, init_mask
+
+    _, test_ds = load_datasets(tiny_config(tmp_path))
+    model = build_model(toy_spec("student", "hybrid"), np.random.default_rng(0))
+    state = init_mask(model, 0.5, np.random.default_rng(1), mode="column")
+    apply_mask(state, model)
+    live = lambda: {n for n, layer in model.named_layers() if getattr(layer, "live", None)}
+    seen, forward = [], Model.forward_with_taps
+
+    def spy(self, x, training=False):
+        seen.append(live())
+        return forward(self, x, training)
+
+    monkeypatch.setattr(Model, "forward_with_taps", spy)
+    acc = evaluate_model(model, test_ds, 25, state)
+    assert seen and all(s == {n.rsplit(".", 1)[0] for n in state.masks} for s in seen)
+    assert not live() and acc == evaluate_model(model, test_ds, 25)
+
+    def fail(self, x, training=False):
+        raise NumericError("forward failed")
+
+    monkeypatch.setattr(Model, "forward_with_taps", fail)
+    with pytest.raises(NumericError):
+        evaluate_model(model, test_ds, 25, state)
+    assert not live()
+
+
 def test_masked_eval_equals_manually_zeroed_dense_copy(tmp_path, tiny_teacher):
     cfg = tiny_config(tmp_path, epochs=2, lr=0.01, lr_drops=(), variant="hybrid",
                       alpha=1.0, beta=0.0, density=0.5)
@@ -475,6 +516,42 @@ def test_incomplete_sparse_record_is_one_format_error(tmp_path, capsys, interrup
     assert cli_main(["eval", "--ckpt", path, "--dataset", "synthetic"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+
+
+def _with_sparse_value(tmp_path, src, field, value):
+    manifest, arrays, masks = load_checkpoint(src)
+    manifest["sparse"][field] = value
+    path = str(tmp_path / "sparse.atlt")
+    save_checkpoint(path, manifest, arrays, masks)
+    return path
+
+
+@pytest.mark.parametrize("field,value", [
+    ("target_nonzero", "x"), ("target_nonzero", True), ("target_nonzero", -1), ("target_nonzero", 2.0),
+    ("density", True), ("density", 0), ("density", 1.5), ("density", float("nan")), ("density", "0.5"),
+    ("prune_rate0", float("inf")), ("prune_rate0", None), ("include_stem", 1), ("mode", ["column"]),
+])
+def test_sparse_record_value_of_the_wrong_type_is_format_error(tmp_path, interrupted_run, field, value):
+    with pytest.raises(FormatError, match="sparse record"):
+        model_from_checkpoint(_with_sparse_value(tmp_path, interrupted_run, field, value))
+
+
+def test_sparse_record_off_its_budget_is_format_error(tmp_path, interrupted_run):
+    _, _, _, state = model_from_checkpoint(interrupted_run)
+    path = _with_sparse_value(tmp_path, interrupted_run, "target_nonzero", state.nonzero() + 1)
+    with pytest.raises(FormatError, match="budget drifted"):
+        model_from_checkpoint(path)
+
+
+def test_non_numeric_target_is_refused_by_resume_and_eval(tmp_path, capsys, tiny_teacher, interrupted_run):
+    path = _with_sparse_value(tmp_path, interrupted_run, "target_nonzero", "x")
+    with pytest.raises(FormatError, match="sparse record"):
+        sparse_distill(tiny_config(tmp_path / "out", **RESUMED_RUN), tiny_teacher["ckpt"], resume=path)
+    assert cli_main(["eval", "--ckpt", path, "--dataset", "synthetic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+    _, _, _, state = model_from_checkpoint(_with_sparse_value(tmp_path, interrupted_run, "density", 1))
+    assert state.density == 1
 
 
 def test_resume_from_a_renamed_velocity_is_format_error(tmp_path, tiny_teacher, interrupted_run):
