@@ -2,9 +2,11 @@
 
 Usage: python scripts/artifact_digest.py
 
-Runs three `--deterministic` fixtures in a fresh temporary directory:
-a toy teacher, toy distillation with irregular pruning, and student26
-column distillation from an untrained teacher50 on 16 images. Output
+Runs four `--deterministic` fixtures in a fresh temporary directory:
+a toy teacher, toy hybrid distillation with irregular pruning, toy
+homogeneous (attention stem) distillation with column pruning and an
+unpruned stem, and student26 column distillation from an untrained
+teacher50 on 16 images. Output
 directories are relative, because `out_dir` is stored in every manifest.
 Prints `sha256  path` for every metrics CSV and checkpoint. Run it in two
 checkouts and diff the outputs: equal lines mean byte-identical artifacts.
@@ -45,6 +47,9 @@ def run_fixtures():
                                                  lr=0.05, **TOY))
     train.sparse_distill(TrainConfig(out_dir="toy-distill", epochs=3, lr=0.003, density=0.25,
                                      prune_mode="irregular", **DISTILL, **TOY), teacher)
+    train.sparse_distill(TrainConfig(out_dir="toy-homogeneous", epochs=2, lr=0.003, density=0.5,
+                                     prune_mode="column", stem_prunable=False,
+                                     **dict(DISTILL, variant="homogeneous"), **TOY), teacher)
 
     tcfg = TrainConfig(out_dir="teacher50", depth="teacher50", variant="conv", **FULL)
     spec = models.spec_by_name("teacher50", "teacher", "conv", tcfg.classes, tcfg.extent, tcfg.heads)

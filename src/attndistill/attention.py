@@ -88,23 +88,17 @@ def init_attention_params(
     return p
 
 
-def local_self_attention(x: Tensor, params: AttentionLayerParams, return_weights: bool = False,
-                         live=None):
+def local_self_attention(x: Tensor, params: AttentionLayerParams, live=None) -> Tensor:
     """Windowed attention: per head, softmax over the valid neighborhood
     of content plus positional logits, then a convex mix of the values.
 
     Output is (B, c_out, H, W); a stride-2 layer mean-pools 2x2 afterwards.
-    With `return_weights`, also returns the (B, H*W, heads, k*k) softmax
-    weights (exact zeros at out-of-image slots). `live` is passed on to
-    `tensor.local_attention`.
+    `live` is passed on to `tensor.local_attention`.
     """
     c_in = x.shape[1]
     if c_in != params.c_in:
         raise ShapeError(f"input has {c_in} channels, layer expects {params.c_in}")
     pos_div = np.sqrt(params.c_out) if params.pos_scale == "sqrt" else params.c_out**0.25
-    out = T.local_attention(x, params.w_q, params.w_k, params.w_v, params.rel_pos,
-                            1.0 / np.sqrt(params.c_out), 1.0 / pos_div, return_weights, live)
-    y = out[0] if return_weights else out
-    if params.stride == 2:
-        y = T.avg_pool2(y)
-    return (y, out[1]) if return_weights else y
+    y = T.local_attention(x, params.w_q, params.w_k, params.w_v, params.rel_pos,
+                          1.0 / np.sqrt(params.c_out), 1.0 / pos_div, live)
+    return T.avg_pool2(y) if params.stride == 2 else y

@@ -12,8 +12,6 @@ Reflective padding mirrors without repeating the border pixel, e.g. a row
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, FormatError
@@ -31,12 +29,6 @@ DATASET_STATS = {
 }
 
 
-@dataclass
-class LabeledImage:
-    pixels: np.ndarray  # (3, 32, 32) float32, channel-normalized
-    label: int
-
-
 class Dataset:
     def __init__(self, images: np.ndarray, labels: np.ndarray, classes: int):
         self.images = np.ascontiguousarray(images, dtype=np.float32)
@@ -45,9 +37,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.labels)
-
-    def __getitem__(self, i) -> LabeledImage:
-        return LabeledImage(self.images[i], int(self.labels[i]))
 
 
 def _normalize(raw01: np.ndarray, stats_key: str) -> np.ndarray:
@@ -84,22 +73,6 @@ def write_cifar_binary(path, raw_images: np.ndarray, labels: np.ndarray):
         f.write(rec.tobytes())
 
 
-def hflip(img: LabeledImage) -> LabeledImage:
-    return LabeledImage(img.pixels[:, :, ::-1].copy(), img.label)
-
-
-def reflect_crop(pixels: np.ndarray, top: int, left: int) -> np.ndarray:
-    padded = np.pad(pixels, ((0, 0), (CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD)), mode="reflect")
-    return padded[:, top : top + IMAGE_HW, left : left + IMAGE_HW].copy()
-
-
-def augment(img: LabeledImage, rng: np.random.Generator) -> LabeledImage:
-    """Training-time flip + reflect-pad random crop; label unchanged."""
-    out = hflip(img) if rng.random() < 0.5 else img
-    top, left = rng.integers(0, 2 * CROP_PAD + 1, size=2)
-    return LabeledImage(reflect_crop(out.pixels, int(top), int(left)), out.label)
-
-
 def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int, train: bool = True):
     """Epoch-seeded shuffled minibatches; the last partial batch is kept.
 
@@ -125,8 +98,11 @@ def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int, train: boo
 
 
 def _augment_batch(imgs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """`augment` applied to each image of a batch, with the same draws in
-    the same order, so the pixels are byte-identical to the per-image path."""
+    """Flip and crop each image of a batch. Image by image, in batch order,
+    the rng draws one `random()` (flip when below 0.5) and then one
+    `integers(0, 2 * CROP_PAD + 1, size=2)` (the crop's top and left
+    corner in the reflect-padded image); every draw is made before any
+    pixel moves."""
     flip = np.empty(len(imgs), dtype=bool)
     corners = np.empty((len(imgs), 2), dtype=np.int64)
     for k in range(len(imgs)):

@@ -54,10 +54,15 @@ class ModelSpec:
             raise ConfigError(f"unknown role {self.role!r}")
         if self.variant not in ("conv", "hybrid", "homogeneous"):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if len(self.widths) != len(self.blocks):
-            raise ConfigError("widths and blocks must have the same length")
-        if self.extent % 2 == 0 or self.extent < 1:
-            raise ConfigError(f"extent must be odd, got {self.extent}")
+        counts = [(n, getattr(self, n), 1) for n in ("heads", "extent", "classes", "input_hw", "expansion")]
+        counts += [(f"{n}[{i}]", v, 1) for n in ("widths", "blocks") for i, v in enumerate(getattr(self, n))]
+        for name, value, least in counts + [("stem_width", self.stem_width, 0)]:  # a bool is no count
+            if type(value) is not int or value < least:
+                raise ConfigError(f"model spec field {name} must be an integer >= {least}, got {value!r}")
+        if not self.widths or len(self.widths) != len(self.blocks):
+            raise ConfigError("model spec fields widths and blocks must be non-empty and of the same length")
+        if self.extent % 2 == 0:
+            raise ConfigError(f"model spec field extent must be odd, got {self.extent}")
         if self.variant != "conv":
             for w in self.widths:
                 if w % self.heads:
@@ -105,9 +110,8 @@ def spec_by_name(depth: str, role: str, variant: str, classes: int, extent: int,
 class Conv2d:
     spatial_kind = "conv"
 
-    def __init__(self, cin, cout, k, stride, rng, pad=None):
+    def __init__(self, cin, cout, k, stride, rng):
         self.cin, self.cout, self.k, self.stride = cin, cout, k, stride
-        self.pad = k // 2 if pad is None else pad
         std = np.sqrt(2.0 / (cin * k * k))
         self.w = Tensor((rng.standard_normal((cout, cin, k, k)) * std).astype(T.default_dtype()),
                         requires_grad=True)
@@ -115,7 +119,7 @@ class Conv2d:
         self.live = {}
 
     def forward(self, x):
-        return T.conv2d(x, self.w, stride=self.stride, pad=self.pad, live=self.live.get("w"))
+        return T.conv2d(x, self.w, stride=self.stride, pad=self.k // 2, live=self.live.get("w"))
 
     def params(self):
         return {"w": self.w}

@@ -232,9 +232,7 @@ def add(a: Tensor, b) -> Tensor:
     return _record(data, (a, b), bw)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return scale(a, float(b))
+def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def bw(g):
@@ -418,21 +416,21 @@ def log_softmax(a: Tensor, axis: int) -> Tensor:
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, live=None) -> Tensor:
     """Cross-correlation of NCHW input with OIHW weights, zero padding.
 
-    Forward is im2col plus one batched GEMM. A 1x1 stride-1 unpadded
-    input already is its column matrix, so it is read as a view and the
-    op keeps no copy of it; every other shape keeps its im2col copy for
-    the weight gradient. The weight gradient is one BLAS GEMM per image,
-    `g[b] @ cols[b].T`, summed over the batch into a float64 accumulator
-    and rounded once to the gradient's dtype. With the float64 sum the
-    result does not depend on the order the images are added in, and its
-    error is that of one float32 contraction over the batch. The input
-    gradient is skipped when the input does not require grad (the stem).
+    Forward is im2col plus one batched GEMM. An unpadded 1x1 kernel's
+    column matrix is its strided input, a view at stride 1, so a 1x1
+    stride-1 op keeps no copy of its input; every other shape keeps its
+    im2col copy for the weight gradient. The weight gradient is one BLAS
+    GEMM per image, `g[b] @ cols[b].T`, summed over the batch into a
+    float64 accumulator and rounded once to the gradient's dtype. With the
+    float64 sum the result does not depend on the order the images are
+    added in, and its error is that of one float32 contraction over the
+    batch. The input gradient is skipped when the input does not require
+    grad (the stem).
 
     `live` = (indices, weight matrix on them) multiplies only those columns
-    of the (C_out, C_in*kh*kw) weight matrix, the others being zero: a 1x1
-    kernel gathers the live input channels, any other the live im2col rows,
-    each image's into one contiguous block. It is refused while a graph is
-    recorded.
+    of the (C_out, C_in*kh*kw) weight matrix, the others being zero: the
+    live rows of the column matrix are gathered, each image's into one
+    contiguous block. It is refused while a graph is recorded.
     """
     B, cin, H, W = x.shape
     cout, cin_w, kh, kw = w.shape
@@ -446,19 +444,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, live=None) -> Te
     if live is not None:
         _contract(not _grad_enabled(), "conv2d reads only live columns when no graph is recorded")
     wmat = w.data.reshape(cout, cin * kh * kw) if live is None else live[1]
-    if live is not None and kh == kw == 1 and pad == 0:
-        cols2 = np.take(x.data[:, :, ::stride, ::stride], live[0], axis=1).reshape(B, -1, ho * wo)
-    elif pointwise:
-        cols2 = x.data.reshape(B, cin, H * W)
+    if kh == kw == 1 and pad == 0:
+        cols = x.data[:, :, ::stride, ::stride]
     else:
         xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
         cols = np.empty((B, cin, kh, kw, ho, wo), dtype=x.data.dtype)
         for di in range(kh):
             for dj in range(kw):
                 cols[:, :, di, dj] = xp[:, :, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
-        cols2 = cols.reshape(B, cin * kh * kw, ho * wo)
-        if live is not None:
-            cols2 = np.take(cols2, live[0], axis=1)
+        cols = cols.reshape(B, cin * kh * kw, ho, wo)
+    if live is not None:
+        cols = np.take(cols, live[0], axis=1)
+    cols2 = cols.reshape(B, -1, ho * wo)
     out = np.matmul(wmat[None], cols2).reshape(B, cout, ho, wo)
 
     def bw(g):
@@ -519,21 +516,18 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _record(data, (x,), bw)
 
 
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Batch normalization over (B,) or (B, H, W) per channel.
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+               running_var: np.ndarray, training: bool) -> Tensor:
+    """Batch normalization of an NCHW map over (B, H, W) per channel.
 
     Training mode normalizes with batch statistics and updates the running
-    buffers in place with an exponential moving average (unbiased variance
-    for the buffer, biased for normalization). Eval mode uses the buffers.
+    buffers in place with an exponential moving average of momentum 0.1
+    (unbiased variance for the buffer, biased for normalization). Eval mode
+    uses the buffers. Both add 1e-5 to the variance.
 
     The variance is np.var's arithmetic (mean of the squared centred copy)
     on the centred copy that is then normalized, scaled and shifted in
@@ -541,23 +535,22 @@ def batch_norm(
     inverse deviation: the backward rebuilds the normalized input from
     `x` with the forward's two operations.
     """
-    axes = (0, 2, 3) if x.ndim == 4 else (0,)
-    cshape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
+    axes, cshape = (0, 2, 3), (1, -1, 1, 1)
     n = x.size // x.shape[1]
     if training:
         mean = x.data.mean(axis=axes)
         out = x.data - mean.reshape(cshape)
         var = np.square(out).mean(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
+        running_mean *= 1.0 - _BN_MOMENTUM
+        running_mean += _BN_MOMENTUM * mean
         bessel = n / max(n - 1, 1)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * bessel
+        running_var *= 1.0 - _BN_MOMENTUM
+        running_var += _BN_MOMENTUM * var * bessel
     else:
         mean = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype)
         out = x.data - mean.reshape(cshape)
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.data.dtype).reshape(cshape)
+    inv_std = (1.0 / np.sqrt(var + _BN_EPS)).astype(x.data.dtype).reshape(cshape)
     mean = mean.reshape(cshape)
     out *= inv_std
     out *= gamma.data.reshape(cshape)
@@ -684,18 +677,17 @@ def _batch_last(a: np.ndarray) -> np.ndarray:
 
 
 def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: Tensor,
-                    content_scale: float, pos_scale: float, return_weights: bool = False, live=None):
+                    content_scale: float, pos_scale: float, live=None) -> Tensor:
     """Multi-head k x k local self-attention of an NCHW map, one graph node.
 
     x is (B, c_in, H, W); w_q, w_k, w_v are (c_in, c_out); rel_pos is
     (heads, 2k-1, 2k-1, c_out/heads), of which the central k x k band is
     used. Logits are content_scale * q.k + pos_scale * q.r per head and
     neighbor offset; out-of-image slots get an exactly-zero softmax weight.
-    Returns the (B, c_out, H, W) output, plus the (B, H*W, heads, k*k)
-    weights as a constant tensor when `return_weights` is set. `live`, one
-    (input channels, (c_out, n) weight matrix on them) pair per projection
-    in q, k, v order, projects only those channels, the others' weight rows
-    being zero; it is refused while a graph is recorded.
+    Returns the (B, c_out, H, W) output. `live`, one (input channels,
+    (c_out, n) weight matrix on them) pair per projection in q, k, v
+    order, projects only those channels, the others' weight rows being
+    zero; it is refused while a graph is recorded.
 
     The arithmetic is that of a channel-major (B, heads, c, H, W)
     formulation: projections by BLAS, keys and values zero-padded by k//2,
@@ -796,10 +788,7 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
         return dx, dw_q, dw_k, dw_v, drel
 
     y = np.ascontiguousarray(out.reshape(c_out, H, W, B).transpose(3, 0, 1, 2))
-    y = _record(y, (x, w_q, w_k, w_v, rel_pos), bw)
-    if return_weights:
-        return y, Tensor(a.transpose(4, 2, 3, 0, 1).reshape(B, H * W, N, K))
-    return y
+    return _record(y, (x, w_q, w_k, w_v, rel_pos), bw)
 
 
 # --- gradient checking ---

@@ -217,7 +217,7 @@ def model_from_checkpoint(path):
     try:
         d = manifest["model_spec"]
         spec = ModelSpec(**dict(d, widths=tuple(d["widths"]), blocks=tuple(d["blocks"])))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ConfigError) as e:
         raise FormatError(f"checkpoint {path} has no valid model_spec ({type(e).__name__}: {e})") from e
     model = build_model(spec, _NO_DRAWS)
     return model, manifest, masks, _restore(path, model, manifest, arrays, masks)
@@ -417,8 +417,8 @@ def _resume_epoch(manifest: dict, cfg: TrainConfig, path) -> int:
     if differ:
         raise ConfigError(f"resume checkpoint {path} is from a different run: {', '.join(differ)}")
     epoch = manifest.get("epoch")
-    if not isinstance(epoch, int):
-        raise FormatError(f"resume checkpoint {path} records no epoch")
+    if type(epoch) is not int or epoch < 0:  # a bool is no epoch
+        raise FormatError(f"resume checkpoint {path} records no epoch (got {epoch!r})")
     if epoch >= cfg.epochs:
         raise ConfigError(f"resume checkpoint {path} has finished all {cfg.epochs} epochs")
     return epoch

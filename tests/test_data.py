@@ -6,18 +6,35 @@ from hypothesis import strategies as st
 from attndistill.data import (
     CROP_PAD,
     DATASET_STATS,
+    IMAGE_HW,
     RECORD_BYTES,
     Dataset,
-    LabeledImage,
-    augment,
     batches,
-    hflip,
     load_cifar_binary,
-    reflect_crop,
     synthetic_dataset,
     write_cifar_binary,
 )
 from attndistill.errors import ConfigError, FormatError
+
+
+# Per-image augmentation of one (3, 32, 32) pixel array: the oracle that the
+# batched path in `batches` must reproduce byte for byte.
+
+
+def hflip(pixels):
+    return pixels[:, :, ::-1].copy()
+
+
+def reflect_crop(pixels, top, left):
+    padded = np.pad(pixels, ((0, 0), (CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD)), mode="reflect")
+    return padded[:, top : top + IMAGE_HW, left : left + IMAGE_HW].copy()
+
+
+def augment(pixels, rng):
+    """Flip with probability 0.5, then reflect-pad and crop at a random corner."""
+    out = hflip(pixels) if rng.random() < 0.5 else pixels
+    top, left = rng.integers(0, 2 * CROP_PAD + 1, size=2)
+    return reflect_crop(out, int(top), int(left))
 
 
 def _random_raw(n, seed=0):
@@ -88,24 +105,22 @@ def test_loader_is_pure(tmp_path):
 
 
 def test_augment_preserves_shape_and_label():
-    rng = np.random.default_rng(6)
-    img = LabeledImage(rng.standard_normal((3, 32, 32)).astype(np.float32), 1)
-    out = augment(img, np.random.default_rng(7))
-    assert out.pixels.shape == (3, 32, 32)
-    assert out.label == 1
+    ds = synthetic_dataset(12, 3, seed=6)
+    order = np.random.default_rng([7, 0]).permutation(len(ds))
+    (xb, yb), = list(batches(ds, 12, seed=7, epoch=0))
+    assert xb.shape == (12, 3, 32, 32) and xb.data.dtype == np.float32
+    assert np.array_equal(yb, ds.labels[order])
 
 
 def test_forced_double_flip_is_identity():
-    rng = np.random.default_rng(8)
-    img = LabeledImage(rng.standard_normal((3, 32, 32)).astype(np.float32), 0)
-    assert np.array_equal(hflip(hflip(img)).pixels, img.pixels)
+    pixels = np.random.default_rng(8).standard_normal((3, 32, 32)).astype(np.float32)
+    assert np.array_equal(hflip(hflip(pixels)), pixels)
 
 
 def test_augment_deterministic_replay():
-    rng = np.random.default_rng(9)
-    img = LabeledImage(rng.standard_normal((3, 32, 32)).astype(np.float32), 0)
-    a = augment(img, np.random.default_rng(11)).pixels
-    b = augment(img, np.random.default_rng(11)).pixels
+    pixels = np.random.default_rng(9).standard_normal((3, 32, 32)).astype(np.float32)
+    a = augment(pixels, np.random.default_rng(11))
+    b = augment(pixels, np.random.default_rng(11))
     assert np.array_equal(a, b)
 
 
@@ -200,10 +215,10 @@ def test_synthetic_needs_one_sample_per_class():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_augment_output_finite_any_seed(seed):
-    img = LabeledImage(np.random.default_rng(0).standard_normal((3, 32, 32)).astype(np.float32), 0)
-    out = augment(img, np.random.default_rng(seed))
-    assert out.pixels.shape == (3, 32, 32)
-    assert np.isfinite(out.pixels).all()
+    pixels = np.random.default_rng(0).standard_normal((1, 3, 32, 32)).astype(np.float32)
+    (xb, _), = list(batches(Dataset(pixels, np.zeros(1), 2), 1, seed=seed, epoch=0))
+    assert xb.shape == (1, 3, 32, 32)
+    assert np.isfinite(xb.data).all()
 
 
 def test_batched_augmentation_equals_per_image_augment():
@@ -216,6 +231,6 @@ def test_batched_augmentation_equals_per_image_augment():
             assert [len(yb) for _, yb in got] == [20, 20, 17]
             for b, (xb, yb) in enumerate(got):
                 idx = order[20 * b : 20 * (b + 1)]
-                ref = np.stack([augment(ds[i], rng).pixels for i in idx])
+                ref = np.stack([augment(ds.images[i], rng) for i in idx])
                 assert xb.data.dtype == ref.dtype and xb.data.tobytes() == ref.tobytes()
                 assert np.array_equal(yb, ds.labels[idx])

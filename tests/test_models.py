@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,17 @@ def test_spec_validation_errors():
         ModelSpec("student", "hybrid", "toy", (4,), (1,), 4, 2, classes=2)  # even extent
     with pytest.raises(ConfigError):
         ModelSpec("student", "cubist", "toy", (4,), (1,), 3, 2, classes=2)
+
+
+@pytest.mark.parametrize("change, named", [
+    (dict(classes=0), "classes"), (dict(input_hw=-4), "input_hw"), (dict(blocks=(1, 0)), "blocks[1]"),
+    (dict(stem_width=-1), "stem_width"), (dict(extent=False), "extent"), (dict(widths=(4, 2.5)), "widths[1]"),
+])
+def test_spec_refuses_a_count_that_is_not_a_positive_integer(change, named):
+    spec = dict(role="student", variant="conv", depth="toy", widths=(4, 8), blocks=(1, 1), extent=3, heads=2)
+    with pytest.raises(ConfigError, match=rf"field {re.escape(named)} must be an integer >= "):
+        ModelSpec(**dict(spec, **change))
+    ModelSpec(**spec)
 
 
 def test_pair_taps_blockwise_when_counts_match():

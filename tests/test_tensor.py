@@ -481,11 +481,44 @@ def test_conv2d_bit_exact_against_full_im2col(k, stride, pad, x_grad):
         assert xt.grad is None
 
 
+@pytest.mark.parametrize("hw", [(8, 8), (7, 9), (6, 5)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_strided_pointwise_conv_bit_exact_against_im2col(hw, dtype):
+    """A bottleneck's `down` projection: 1x1 stride 2, at even and odd sizes."""
+    H, W = hw
+    rng = np.random.default_rng([H, W])
+    x = rng.standard_normal((3, 6, H, W)).astype(dtype)
+    w = rng.standard_normal((5, 6, 1, 1)).astype(dtype)
+    g = rng.standard_normal((3, 5, (H + 1) // 2, (W + 1) // 2)).astype(dtype)
+    g[:, :, ::2] = -0.0
+    with precision(dtype):
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = T.conv2d(xt, wt, stride=2)
+        _backward_with(out, g)
+    for got, want in zip((out.data, xt.grad, wt.grad), _conv2d_reference(x, w, g, 2, 0)):
+        assert got.dtype == want.dtype
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("hw", [(8, 8), (7, 9)])
+def test_compacted_strided_pointwise_conv_matches_masked_dense(hw):
+    rng = np.random.default_rng(list(hw))
+    x = rng.standard_normal((2, 8, *hw)).astype(np.float32)
+    w = rng.standard_normal((6, 8, 1, 1)).astype(np.float32)
+    idx = np.array([0, 3, 4, 7])
+    w[:, np.setdiff1d(np.arange(8), idx)] = 0
+    with no_grad():
+        dense = T.conv2d(Tensor(x), Tensor(w), stride=2).data
+        live = (idx, w.reshape(6, 8)[:, idx])
+        comp = T.conv2d(Tensor(x), Tensor(np.full_like(w, np.nan)), stride=2, live=live).data
+    assert comp.shape == dense.shape
+    assert np.abs(comp - dense).max() <= 1e-5 * np.abs(dense).max()
+
+
 def _batch_norm_reference(x, gamma, beta, rm, rv, training, g, momentum=0.1, eps=1e-5):
     """Forward, running buffers and gradients of the batch norm that keeps
     its normalized copy, with np.var for the batch variance."""
-    axes = (0, 2, 3) if x.ndim == 4 else (0,)
-    cshape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
+    axes, cshape = (0, 2, 3), (1, -1, 1, 1)
     n = x.size // x.shape[1]
     if training:
         mean, var = x.mean(axis=axes), x.var(axis=axes)
@@ -510,7 +543,7 @@ def _batch_norm_reference(x, gamma, beta, rm, rv, training, g, momentum=0.1, eps
     return out, dx, dgamma, dbeta
 
 
-@pytest.mark.parametrize("shape", [(8, 16, 8, 8), (5, 3, 2, 7), (100, 8, 4, 4), (16, 10)])
+@pytest.mark.parametrize("shape", [(8, 16, 8, 8), (5, 3, 2, 7), (100, 8, 4, 4), (16, 10, 1, 1)])
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batch_norm_bit_exact_against_kept_xhat(shape, training, dtype):

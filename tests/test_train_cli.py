@@ -235,6 +235,18 @@ def test_resume_refuses_a_finished_run(tmp_path, tiny_teacher):
     assert (tmp_path / "student.atlt").read_bytes() == final
 
 
+@pytest.mark.parametrize("epoch", [-1, True])
+def test_resume_refuses_a_negative_or_boolean_epoch(tmp_path, tiny_teacher, interrupted_run, epoch):
+    manifest, arrays, masks = load_checkpoint(interrupted_run)
+    manifest["epoch"] = epoch
+    path = str(tmp_path / "bad_epoch.atlt")
+    save_checkpoint(path, manifest, arrays, masks)
+    cfg = tiny_config(tmp_path / "out", **RESUMED_RUN)
+    with pytest.raises(FormatError, match="records no epoch"):
+        sparse_distill(cfg, tiny_teacher["ckpt"], resume=path)
+    assert not (tmp_path / "out").exists()
+
+
 def test_column_mode_distill_end_to_end(tmp_path, tiny_teacher):
     from attndistill.sparse import _as_matrix
 
@@ -421,6 +433,35 @@ def test_cli_checkpoint_without_model_spec_is_format_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: FormatError: ") and "\n" not in err
+
+
+@pytest.mark.parametrize("flag, value, named", [("--heads", "0", "heads"), ("--heads", "-1", "heads"),
+                                               ("--extent", "-1", "extent")])
+def test_cli_distill_with_a_non_positive_spec_count_is_one_config_error(tmp_path, capsys, tiny_teacher,
+                                                                        flag, value, named):
+    rc = cli_main(["distill", "--teacher", tiny_teacher["ckpt"], "--out-dir", str(tmp_path / "o"),
+                   "--epochs", "1", flag, value])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1 and f"field {named} " in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("heads", 0, "heads"), ("widths", [0, 8, 16], "widths[0]"), ("expansion", 0, "expansion"),
+    ("heads", -2, "heads"), ("widths", [4, 8.0, 16], "widths[1]"), ("heads", True, "heads"),
+], ids=["heads0", "width0", "expansion0", "negative_heads", "float_width", "bool_heads"])
+def test_cli_eval_on_a_bad_spec_count_is_one_format_error(tmp_path, capsys, interrupted_run,
+                                                           field, value, named):
+    manifest, arrays, masks = load_checkpoint(interrupted_run)
+    manifest["model_spec"][field] = value
+    path = str(tmp_path / "badspec.atlt")
+    save_checkpoint(path, manifest, arrays, masks)
+    with pytest.raises(FormatError, match=f"checkpoint {re.escape(path)} .*field {re.escape(named)} "):
+        model_from_checkpoint(path)
+    assert cli_main(["eval", "--ckpt", path, "--dataset", "synthetic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError: ") and err.count("\n") == 1
 
 
 def test_cli_eval_on_a_flipped_parameter_name_is_one_format_error(tmp_path, capsys):
@@ -667,6 +708,8 @@ def test_artifact_digest_script_prints_every_artifact():
     assert [path for _, path in digests] == [
         "student26/distill_metrics.csv", "student26/student.atlt", "student26/student_last.atlt",
         "teacher50/teacher.atlt", "toy-distill/distill_metrics.csv", "toy-distill/student.atlt",
-        "toy-distill/student_last.atlt", "toy-teacher/teacher.atlt", "toy-teacher/teacher_metrics.csv",
+        "toy-distill/student_last.atlt", "toy-homogeneous/distill_metrics.csv",
+        "toy-homogeneous/student.atlt", "toy-homogeneous/student_last.atlt",
+        "toy-teacher/teacher.atlt", "toy-teacher/teacher_metrics.csv",
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest, _ in digests)
