@@ -3,11 +3,12 @@
 Usage: python scripts/artifact_digest.py
 
 Runs four `--deterministic` fixtures in a fresh temporary directory:
-a toy teacher, toy hybrid distillation with irregular pruning, toy
-homogeneous (attention stem) distillation with column pruning and an
-unpruned stem, and student26 column distillation from an untrained
-teacher50 on 16 images. Output
-directories are relative, because `out_dir` is stored in every manifest.
+a toy teacher, toy hybrid distillation with irregular pruning (run
+through `cli.main`, so flag parsing is covered as well), toy homogeneous
+(attention stem) distillation with column pruning and an unpruned stem,
+and student26 column distillation from an untrained teacher50 on 16
+images. Output directories are relative, because `out_dir` is stored in
+every manifest.
 Prints `sha256  path` for every metrics CSV and checkpoint. Run it in two
 checkouts and diff the outputs: equal lines mean byte-identical artifacts.
 BLAS runs on one thread, so the digests do not depend on the core count.
@@ -32,7 +33,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import numpy as np  # noqa: E402
 
-from attndistill import models, train  # noqa: E402
+from attndistill import cli, models, train  # noqa: E402
 from attndistill.config import TrainConfig  # noqa: E402
 
 TOY = dict(dataset="synthetic", synth_train=400, synth_test=200, classes=2, batch_size=50,
@@ -45,8 +46,15 @@ DISTILL = dict(variant="hybrid", alpha=0.1, beta=1000.0, temperature=4.0, prune_
 def run_fixtures():
     teacher, _ = train.train_teacher(TrainConfig(out_dir="toy-teacher", variant="conv", epochs=2,
                                                  lr=0.05, **TOY))
-    train.sparse_distill(TrainConfig(out_dir="toy-distill", epochs=3, lr=0.003, density=0.25,
-                                     prune_mode="irregular", **DISTILL, **TOY), teacher)
+    # the same fields as TOY and DISTILL, through the CLI, so the digests cover flag parsing too
+    rc = cli.main(["distill", "--teacher", teacher, "--out-dir", "toy-distill", "--epochs", "3",
+                   "--lr", "0.003", "--density", "0.25", "--prune-mode", "irregular",
+                   "--variant", "hybrid", "--alpha", "0.1", "--beta", "1000", "--temperature", "4",
+                   "--prune-rate", "0.5", "--dataset", "synthetic", "--synth-train", "400",
+                   "--synth-test", "200", "--classes", "2", "--batch-size", "50", "--depth", "toy",
+                   "--heads", "2", "--extent", "3", "--seed", "7", "--deterministic"])
+    if rc != 0:
+        raise SystemExit(f"toy-distill: attndistill distill exited {rc}")
     train.sparse_distill(TrainConfig(out_dir="toy-homogeneous", epochs=2, lr=0.003, density=0.5,
                                      prune_mode="column", stem_prunable=False,
                                      **dict(DISTILL, variant="homogeneous"), **TOY), teacher)

@@ -25,6 +25,8 @@ from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
+POS_SCALES = ("fourth-root", "sqrt")  # denominator of the positional logit: c_out**0.25 or sqrt(c_out)
+
 
 @dataclass
 class AttentionLayerParams:
@@ -54,8 +56,8 @@ class AttentionLayerParams:
             raise ConfigError(f"extent must be odd and positive, got {self.extent}")
         if self.stride not in (1, 2):
             raise ConfigError(f"stride must be 1 or 2, got {self.stride}")
-        if self.pos_scale not in ("fourth-root", "sqrt"):
-            raise ConfigError(f"unknown pos_scale {self.pos_scale!r}")
+        if self.pos_scale not in POS_SCALES:
+            raise ConfigError(f"pos_scale must be one of {POS_SCALES}, got {self.pos_scale!r}")
 
     @property
     def head_dim(self) -> int:

@@ -1,69 +1,68 @@
 """Command-line interface.
 
-Subcommands: train-teacher, distill, eval, report, gradcheck. Every flag
-mirrors a TrainConfig field; a JSON config file (--config) may supply any
-of them and explicit flags win. Exits 0 on success, otherwise prints a
-single machine-parsable line `error: <Kind>: <message>` to stderr and
-exits nonzero.
+Subcommands: train-teacher, distill, eval, report, gradcheck. In the first
+three every TrainConfig field is a flag `--field-name` (`--lr-drops 18 24 27`;
+a boolean also has `--no-field-name`), except that `pos_scale` is
+`--pos-denom` and `prune_rate0` is `--prune-rate`. A JSON file (--config)
+may supply any field and explicit flags win. Abbreviated flags are refused.
+Exits 0 on success; every failure, a bad flag included, prints one line
+`error: <Kind>: <message>` to stderr and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .config import TrainConfig
-from .errors import AttnDistillError
+from .config import CHOICES, TrainConfig
+from .errors import AttnDistillError, ConfigError
+
+_LEGACY_FLAGS = {"pos_scale": "--pos-denom", "prune_rate0": "--prune-rate"}
+# field annotation -> how its flag parses
+_FLAG_KINDS = {"int": dict(type=int), "float": dict(type=float), "str": {},
+               "bool": dict(action=argparse.BooleanOptionalAction), "tuple": dict(nargs="*", type=int)}
 
 
-def _add_common(p):
-    p.add_argument("--config", default=None, help="JSON file supplying any flag")
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--data-dir", dest="data_dir", default=None)
-    p.add_argument("--dataset", choices=["synthetic", "cifar10", "cifar100"], default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    p.add_argument("--depth", choices=["toy", "student26", "student38", "teacher50"], default=None)
-    p.add_argument("--variant", choices=["conv", "hybrid", "homogeneous"], default=None)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--extent", type=int, default=None)
-    p.add_argument("--pos-denom", dest="pos_scale", choices=["fourth-root", "sqrt"], default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--map-power", dest="map_power", type=float, default=None)
-    p.add_argument("--density", type=float, default=None)
-    p.add_argument("--prune-mode", dest="prune_mode", choices=["irregular", "column"], default=None)
-    p.add_argument("--prune-rate", dest="prune_rate0", type=float, default=None)
+class _Parser(argparse.ArgumentParser):
+    """Refuses abbreviated flags and raises ConfigError where argparse would exit 2;
+    subcommand parsers share the class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _add_config_flags(p):
+    p.add_argument("--config", default=None, help="JSON file supplying any field")
+    for f in fields(TrainConfig):
+        kind = dict(_FLAG_KINDS[f.type])
+        if f.name in CHOICES:
+            kind["choices"] = CHOICES[f.name]
+        flag = _LEGACY_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
+        p.add_argument(flag, dest=f.name, default=None, **kind)
 
 
 def _config_from_args(args) -> TrainConfig:
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "config", "teacher", "ckpt", "student", "resume", "func") and v is not None
-    }
-    return TrainConfig.load(args.config, overrides)
+    return TrainConfig.load(args.config, {f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="attndistill")
+    ap = _Parser(prog="attndistill")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-teacher", help="cross-entropy pretraining of the conv teacher")
-    _add_common(p)
+    _add_config_flags(p)
 
     p = sub.add_parser("distill", help="single-pass sparse distillation of a student")
-    _add_common(p)
+    _add_config_flags(p)
     p.add_argument("--teacher", required=True, help="teacher checkpoint path")
     p.add_argument("--resume", default=None, help="resume from a per-epoch student checkpoint")
 
     p = sub.add_parser("eval", help="top-1 accuracy of a checkpoint")
-    _add_common(p)
+    _add_config_flags(p)
     p.add_argument("--ckpt", required=True)
 
     p = sub.add_parser("report", help="parameter/FLOP accounting for a teacher/student pair")
@@ -79,18 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     from . import train as TR
 
+    cfg = _config_from_args(args) if hasattr(args, "config") else None
     if args.command == "train-teacher":
-        cfg = _config_from_args(args)
         ckpt, _ = TR.train_teacher(cfg)
         print(f"teacher checkpoint: {ckpt}")
         return 0
     if args.command == "distill":
-        cfg = _config_from_args(args)
         ckpt, _ = TR.sparse_distill(cfg, args.teacher, resume=args.resume)
         print(f"student checkpoint: {ckpt}")
         return 0
     if args.command == "eval":
-        cfg = _config_from_args(args)
         _, test_ds = TR.load_datasets(cfg)
         acc = TR.evaluate(args.ckpt, test_ds, cfg.batch_size)
         print(f"accuracy: {acc:.4f}")
@@ -108,9 +105,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except (AttnDistillError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

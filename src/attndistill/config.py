@@ -1,8 +1,9 @@
-"""Run configuration: one flat dataclass mirroring the CLI flags.
+"""Run configuration: one flat dataclass, each field of which is a CLI flag.
 
 A JSON config file may supply any field; explicit CLI flags override the
-file, and everything else falls back to the defaults below. The full
-resolved config is embedded in every checkpoint manifest and metrics run.
+file, and everything else falls back to the defaults below. `CHOICES` maps
+each closed-set field to the tuple its implementing module declares. The
+full resolved config is embedded in every checkpoint manifest and metrics run.
 """
 
 from __future__ import annotations
@@ -11,8 +12,18 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
+from .attention import POS_SCALES
+from .data import DATASETS
 from .distill import DistillConfig
 from .errors import ConfigError
+from .models import DEPTHS, VARIANTS
+from .sparse import MODES
+
+CHOICES = {"dataset": DATASETS, "depth": DEPTHS, "variant": VARIANTS, "pos_scale": POS_SCALES,
+           "prune_mode": MODES}
+# the least value of each count or non-negative field
+_LEAST = {"seed": 0, "classes": 1, "synth_train": 1, "synth_test": 1, "epochs": 1, "batch_size": 1,
+          "weight_decay": 0}
 
 
 # field annotation -> (JSON value types it takes, how an error names them)
@@ -39,7 +50,7 @@ class TrainConfig:
     seed: int = 0
     deterministic: bool = False
     # data
-    dataset: str = "synthetic"  # synthetic | cifar10 | cifar100
+    dataset: str = "synthetic"
     data_dir: str = ""
     classes: int = 2
     synth_train: int = 1000
@@ -53,8 +64,8 @@ class TrainConfig:
     lr_drops: tuple = (18, 24, 27)
     lr_drop_factor: float = 0.1
     # model
-    depth: str = "toy"  # toy | student26 | student38 | teacher50
-    variant: str = "hybrid"  # conv | hybrid | homogeneous
+    depth: str = "toy"
+    variant: str = "hybrid"
     extent: int = 3
     heads: int = 2
     pos_scale: str = "fourth-root"
@@ -66,7 +77,7 @@ class TrainConfig:
     temperature_sq_correction: bool = True
     # sparsity
     density: float = 0.25
-    prune_mode: str = "irregular"  # irregular | column
+    prune_mode: str = "irregular"
     prune_rate0: float = 0.5
     stem_prunable: bool = True
 
@@ -74,34 +85,27 @@ class TrainConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"config field {f.name} must be finite, got {getattr(self, f.name)!r}")
-        if self.dataset not in ("synthetic", "cifar10", "cifar100"):
-            raise ConfigError(f"unknown dataset {self.dataset!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"config field {name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.dataset == "cifar10":
             self.classes = 10
         elif self.dataset == "cifar100":
             self.classes = 100
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
+        for name, least in _LEAST.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"config field {name} must be >= {least}, got {getattr(self, name)!r}")
         if self.lr <= 0 or not 0 <= self.momentum < 1:
             raise ConfigError("need lr > 0 and momentum in [0, 1)")
         if not 0 < self.density <= 1:
             raise ConfigError(f"density must be in (0, 1], got {self.density}")
-        if self.prune_mode not in ("irregular", "column"):
-            raise ConfigError(f"unknown prune mode {self.prune_mode!r}")
         if not 0 <= self.prune_rate0 < 1:
             raise ConfigError(f"prune_rate0 must be in [0, 1), got {self.prune_rate0}")
         self.lr_drops = tuple(int(e) for e in self.lr_drops)
-        # range checks for the distillation fields
-        DistillConfig(self.alpha, self.beta, self.temperature, self.map_power)
+        self.distill_config()  # range checks for the distillation fields
 
     def distill_config(self) -> DistillConfig:
-        return DistillConfig(
-            alpha=self.alpha,
-            beta=self.beta,
-            temperature=self.temperature,
-            map_power=self.map_power,
-            temperature_sq_correction=self.temperature_sq_correction,
-        )
+        return DistillConfig(**{f.name: getattr(self, f.name) for f in fields(DistillConfig)})
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -126,11 +130,11 @@ class TrainConfig:
         """Defaults <- JSON file <- explicit overrides, in that order."""
         base: dict = {}
         if path:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 try:
                     base = json.load(f)
-                except json.JSONDecodeError as e:
-                    raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+                except (json.JSONDecodeError, UnicodeDecodeError) as e:
+                    raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {e}") from e
             if not isinstance(base, dict):
                 raise ConfigError(f"config file {path} must hold a JSON object, got {type(base).__name__}")
         if overrides:

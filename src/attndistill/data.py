@@ -23,10 +23,11 @@ CROP_PAD = 4
 
 # published per-channel mean/std of the pixel values in [0, 1]
 DATASET_STATS = {
+    "synthetic": ((0.5, 0.5, 0.5), (0.25, 0.25, 0.25)),
     "cifar10": ((0.4914, 0.4822, 0.4465), (0.2470, 0.2435, 0.2616)),
     "cifar100": ((0.5071, 0.4865, 0.4409), (0.2673, 0.2564, 0.2762)),
-    "synthetic": ((0.5, 0.5, 0.5), (0.25, 0.25, 0.25)),
 }
+DATASETS = tuple(DATASET_STATS)
 
 
 class Dataset:

@@ -29,16 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import init_attention_params, local_self_attention
+from .attention import POS_SCALES, init_attention_params, local_self_attention
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
+
+VARIANTS = ("conv", "hybrid", "homogeneous")
+DEPTHS = ("toy", "student26", "student38", "teacher50")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     role: str  # teacher | student
-    variant: str  # conv | hybrid | homogeneous
-    depth: str  # teacher50 | student26 | student38 | toy
+    variant: str
+    depth: str
     widths: tuple
     blocks: tuple
     extent: int
@@ -50,10 +53,11 @@ class ModelSpec:
     pos_scale: str = "fourth-root"
 
     def __post_init__(self):
-        if self.role not in ("teacher", "student"):
-            raise ConfigError(f"unknown role {self.role!r}")
-        if self.variant not in ("conv", "hybrid", "homogeneous"):
-            raise ConfigError(f"unknown variant {self.variant!r}")
+        choices = (("role", ("teacher", "student")), ("variant", VARIANTS), ("depth", DEPTHS),
+                   ("pos_scale", POS_SCALES))
+        for name, allowed in choices:
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"model spec field {name} must be one of {allowed}, got {getattr(self, name)!r}")
         counts = [(n, getattr(self, n), 1) for n in ("heads", "extent", "classes", "input_hw", "expansion")]
         counts += [(f"{n}[{i}]", v, 1) for n in ("widths", "blocks") for i, v in enumerate(getattr(self, n))]
         for name, value, least in counts + [("stem_width", self.stem_width, 0)]:  # a bool is no count

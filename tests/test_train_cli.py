@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -6,11 +7,13 @@ import struct
 import subprocess
 import sys
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from attndistill.checkpoint import load_checkpoint, save_checkpoint
+from attndistill.cli import _config_from_args, build_parser
 from attndistill.cli import main as cli_main
 from attndistill.config import TrainConfig
 from attndistill.errors import ConfigError, FormatError
@@ -417,6 +420,90 @@ def test_cli_config_file_of_the_wrong_type_is_one_config_error(tmp_path, capsys,
     assert err.startswith("error: ConfigError: ") and err.count("\n") == 1 and named in err
 
 
+def _config_parsers():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sub.choices[name] for name in ("train-teacher", "distill", "eval")}
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill", "eval"])
+def test_every_config_field_has_exactly_one_flag(command):
+    actions = _config_parsers()[command]._actions
+    legacy = {"pos_scale": "--pos-denom", "prune_rate0": "--prune-rate"}
+    for f in fields(TrainConfig):
+        (action,) = [a for a in actions if a.dest == f.name]
+        flag = legacy.get(f.name, "--" + f.name.replace("_", "-"))
+        assert action.option_strings == ([flag, "--no-" + flag[2:]] if f.type == "bool" else [flag])
+
+
+# every field off its default; `dataset` is left synthetic in the first row so that `classes` counts
+_OFF_DEFAULT = dict(
+    out_dir="o", seed=3, deterministic=True, dataset="synthetic", data_dir="d", classes=5, synth_train=7,
+    synth_test=3, epochs=4, batch_size=9, lr=0.5, momentum=0.5, weight_decay=0.0, lr_drops=(1, 3),
+    lr_drop_factor=0.5, depth="student38", variant="homogeneous", extent=5, heads=4, pos_scale="sqrt",
+    alpha=0.25, beta=2.5, temperature=2.0, map_power=3.0, temperature_sq_correction=False, density=0.5,
+    prune_mode="column", prune_rate0=0.25, stem_prunable=False,
+)
+
+
+@pytest.mark.parametrize("values", [_OFF_DEFAULT, dict(_OFF_DEFAULT, dataset="cifar100")],
+                         ids=["synthetic", "cifar100"])
+def test_flags_build_the_config_that_a_config_file_builds(tmp_path, values):
+    assert sorted(values) == sorted(f.name for f in fields(TrainConfig))
+    argv = ["eval", "--ckpt", "x.atlt"]
+    for action in _config_parsers()["eval"]._actions:
+        value = values.get(action.dest)
+        if isinstance(value, bool):
+            argv.append(action.option_strings[0 if value else 1])
+        elif isinstance(value, tuple):
+            argv += [action.option_strings[0], *map(str, value)]
+        elif value is not None:
+            argv += [action.option_strings[0], str(value)]
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps(values))
+    from_flags = _config_from_args(build_parser().parse_args(argv)).to_dict()
+    assert from_flags == TrainConfig.load(str(cfg_file)).to_dict() == TrainConfig(**values).to_dict()
+    defaults = TrainConfig().to_dict()
+    assert all(from_flags[name] != defaults[name] for name in values if name != "dataset")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["distill", "--teacher", "t.atlt", "--prune-mode", "sideways"], "--prune-mode"),
+    (["train-teacher", "--heads", "two"], "--heads"),
+    (["train-teacher", "--bogus", "1"], "--bogus"),
+    (["train-teacher", "--dens", "0.5"], "--dens"),
+    (["distill", "--density", "0.5"], "--teacher"),
+    ([], "command"),
+    (["train-teacher", "--seed", "-1"], "field seed "),
+    (["train-teacher", "--classes", "0"], "field classes "),
+    (["train-teacher", "--synth-train", "-5"], "field synth_train "),
+    (["train-teacher", "--synth-test", "0"], "field synth_test "),
+    (["train-teacher", "--weight-decay", "-0.1"], "field weight_decay "),
+], ids=["unknown_choice", "non_integer", "unknown_flag", "abbreviated_flag", "no_teacher", "no_command",
+        "negative_seed", "no_classes", "negative_synth_train", "no_synth_test", "negative_weight_decay"])
+def test_cli_bad_input_is_one_config_error(tmp_path, capsys, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ConfigError: ") and captured.err.count("\n") == 1
+    assert named in captured.err and not captured.out
+    assert not os.listdir(tmp_path)  # refused before any run directory or data
+
+
+def test_cli_config_file_that_is_not_utf8_is_one_config_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_bytes(b'\xff\xfe{"epochs": 1}')
+    assert cli_main(["train-teacher", "--config", str(cfg_file), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1 and "UTF-8" in err
+
+
+def test_cli_subprocess_bad_flag_exits_one_not_two():
+    proc = subprocess.run([sys.executable, "-m", "attndistill.cli", "distill", "--prune-mode", "sideways"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ConfigError: ") and proc.stderr.count("\n") == 1
+
+
 def test_cli_error_is_single_parsable_line(capsys):
     rc = cli_main(["eval", "--ckpt", "/nonexistent/x.atlt", "--dataset", "synthetic"])
     assert rc == 1
@@ -450,7 +537,8 @@ def test_cli_distill_with_a_non_positive_spec_count_is_one_config_error(tmp_path
 @pytest.mark.parametrize("field, value, named", [
     ("heads", 0, "heads"), ("widths", [0, 8, 16], "widths[0]"), ("expansion", 0, "expansion"),
     ("heads", -2, "heads"), ("widths", [4, 8.0, 16], "widths[1]"), ("heads", True, "heads"),
-], ids=["heads0", "width0", "expansion0", "negative_heads", "float_width", "bool_heads"])
+    ("pos_scale", "x", "pos_scale"),
+], ids=["heads0", "width0", "expansion0", "negative_heads", "float_width", "bool_heads", "bad_pos_scale"])
 def test_cli_eval_on_a_bad_spec_count_is_one_format_error(tmp_path, capsys, interrupted_run,
                                                            field, value, named):
     manifest, arrays, masks = load_checkpoint(interrupted_run)
