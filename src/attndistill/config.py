@@ -101,7 +101,11 @@ class TrainConfig:
             raise ConfigError(f"density must be in (0, 1], got {self.density}")
         if not 0 <= self.prune_rate0 < 1:
             raise ConfigError(f"prune_rate0 must be in [0, 1), got {self.prune_rate0}")
+        if self.lr_drop_factor <= 0:
+            raise ConfigError(f"config field lr_drop_factor must be > 0, got {self.lr_drop_factor!r}")
         self.lr_drops = tuple(int(e) for e in self.lr_drops)
+        if any(e < 0 for e in self.lr_drops):
+            raise ConfigError(f"config field lr_drops must hold epochs >= 0, got {list(self.lr_drops)}")
         self.distill_config()  # range checks for the distillation fields
 
     def distill_config(self) -> DistillConfig:

@@ -163,8 +163,8 @@ class BatchNorm:
         self.running_mean = np.zeros(c, dtype=dt)
         self.running_var = np.ones(c, dtype=dt)
 
-    def forward(self, x, training):
-        return T.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, training)
+    def forward(self, x, training, overwrite=False):
+        return T.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, training, overwrite)
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -216,11 +216,13 @@ class Bottleneck:
         self.out_channels = out
 
     def forward(self, x, training):
-        h = T.relu(self.bn1.forward(self.conv1.forward(x), training))
-        h = T.relu(self.bn2.forward(self.spatial.forward(h), training))
-        h = self.bn3.forward(self.conv3.forward(h), training)
-        sc = x if self.down is None else self.down_bn.forward(self.down.forward(x), training)
-        return T.relu(T.add(h, sc))
+        # with no graph recorded, BN, ReLU and the add write into the arrays
+        # this block's layers made; x is the shortcut and a tap, never written
+        h = T.relu(self.bn1.forward(self.conv1.forward(x), training, overwrite=True), overwrite=True)
+        h = T.relu(self.bn2.forward(self.spatial.forward(h), training, overwrite=True), overwrite=True)
+        h = self.bn3.forward(self.conv3.forward(h), training, overwrite=True)
+        sc = x if self.down is None else self.down_bn.forward(self.down.forward(x), training, overwrite=True)
+        return T.relu(T.add(h, sc, overwrite=True), overwrite=True)
 
     def sublayers(self):
         pairs = [("conv1", self.conv1), ("bn1", self.bn1),
@@ -261,7 +263,7 @@ class Model:
         """Run the network, returning (logits, every block's output in network order)."""
         if x.ndim != 4 or x.shape[1] != 3 or x.shape[2] != self.spec.input_hw:
             raise ShapeError(f"expected (B, 3, {self.spec.input_hw}, {self.spec.input_hw}), got {x.shape}")
-        h = T.relu(self.stem_bn.forward(self.stem.forward(x), training))
+        h = T.relu(self.stem_bn.forward(self.stem.forward(x), training, overwrite=True), overwrite=True)
         taps = []
         for blocks in self.stages:
             for blk in blocks:

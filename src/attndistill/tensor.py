@@ -22,6 +22,21 @@ weights. So an activation is read-only once an op has recorded it:
 writing into a recorded input or output in place would change the
 gradients computed from it.
 
+An op that records no node keeps nothing, and three of them may write
+their result into an input: `batch_norm`, `relu` and `add` (its first
+operand) do so when the caller passes `overwrite=True`, with the same
+ufuncs in the same order, so the bytes are those of a fresh result. The
+permission comes from the caller that made the array, never from the
+grad mode alone: `grad_check` evaluates its function under `no_grad` on
+its own leaves, and a block's input is also its shortcut and a tap. The
+models grant it only for their own conv, attention and pool outputs.
+Such a `conv2d` keeps no column matrix, so it builds one for as many
+images as fit `_COLS_BUDGET` (512 KiB, at least one image) in a reused
+buffer. On the toy conv teacher at B=100 (2-vCPU Xeon, one BLAS thread)
+its no-graph forward took 60 ms with 512 KiB or 1 MiB chunks, 62 ms
+with 256 KiB, 66 ms with 128 KiB and 73 ms with whole column matrices,
+against 83-87 ms with neither chunks nor in-place writes.
+
 The graph is single-use. As `backward()` passes each node's gradient on
 to its parents, it drops that node's closure and parents, so what the
 closure kept (im2col columns, padded keys and values, softmax weights)
@@ -193,6 +208,16 @@ def _contract(cond: bool, msg: str):
     return None
 
 
+def _records(parents) -> bool:
+    """Whether an op on `parents` records a node."""
+    return _grad_enabled() and any(p.requires_grad for p in parents)
+
+
+def _scratch(a: Tensor, parents, overwrite: bool):
+    """`a`'s array when the op may write its result there, else None."""
+    return a.data if overwrite and not _records(parents) else None
+
+
 def _record(data, parents, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -200,7 +225,7 @@ def _record(data, parents, backward_fn) -> Tensor:
     out._parents = ()
     out._backward_fn = None
     out.requires_grad = False
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -220,11 +245,12 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # --- elementwise ---
 
 
-def add(a: Tensor, b) -> Tensor:
+def add(a: Tensor, b, overwrite: bool = False) -> Tensor:
+    """a + b; with `overwrite` (see the memory contract) into a's array."""
     if not isinstance(b, Tensor):
-        out = a.data + np.asarray(b, dtype=a.data.dtype)
+        out = np.add(a.data, np.asarray(b, dtype=a.data.dtype), out=_scratch(a, (a,), overwrite))
         return _record(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
-    data = a.data + b.data
+    data = np.add(a.data, b.data, out=_scratch(a, (a, b), overwrite))
 
     def bw(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -280,8 +306,9 @@ def abspow(a: Tensor, p: float) -> Tensor:
     return _record(data, (a,), bw)
 
 
-def relu(a: Tensor) -> Tensor:
-    out = a.data * (a.data > 0)
+def relu(a: Tensor, overwrite: bool = False) -> Tensor:
+    """max(a, 0) as a * (a > 0); with `overwrite` (see the memory contract) into a's array."""
+    out = np.multiply(a.data, a.data > 0, out=_scratch(a, (a,), overwrite))
     # out > 0 equals a > 0 for every input, -0.0, NaN and +-inf included
     return _record(out, (a,), lambda g: (g * (out > 0),))
 
@@ -413,24 +440,43 @@ def log_softmax(a: Tensor, axis: int) -> Tensor:
 # --- convolution and pooling ---
 
 
+_COLS_BUDGET = 512 << 10  # bytes of column matrix a conv that records no node builds at once
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, cols: np.ndarray):
+    """Write the (B, cin*kh*kw, ho*wo) column matrix of the zero-padded NCHW `xp` into `cols`."""
+    B, cin, hp, wp = xp.shape
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    blocks = cols.reshape(B, cin, kh, kw, ho, wo)
+    for di in range(kh):
+        for dj in range(kw):
+            blocks[:, :, di, dj] = xp[:, :, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
+    return cols
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, live=None) -> Tensor:
     """Cross-correlation of NCHW input with OIHW weights, zero padding.
 
-    Forward is im2col plus one batched GEMM. An unpadded 1x1 kernel's
-    column matrix is its strided input, a view at stride 1, so a 1x1
-    stride-1 op keeps no copy of its input; every other shape keeps its
-    im2col copy for the weight gradient. The weight gradient is one BLAS
-    GEMM per image, `g[b] @ cols[b].T`, summed over the batch into a
-    float64 accumulator and rounded once to the gradient's dtype. With the
-    float64 sum the result does not depend on the order the images are
-    added in, and its error is that of one float32 contraction over the
-    batch. The input gradient is skipped when the input does not require
-    grad (the stem).
+    Forward is im2col plus one BLAS GEMM per image. An unpadded 1x1
+    stride-1 kernel's column matrix is its input, read as a view, so that
+    op keeps no copy of its input; every other shape keeps its im2col copy
+    for the weight gradient. The weight gradient is one BLAS GEMM per
+    image, `g[b] @ cols[b].T`, summed over the batch into a float64
+    accumulator and rounded once to the gradient's dtype. With the float64
+    sum the result does not depend on the order the images are added in,
+    and its error is that of one float32 contraction over the batch. The
+    input gradient is skipped when the input does not require grad (the
+    stem).
+
+    An op that records no node builds its column matrix a chunk of
+    images at a time (see the memory contract) and multiplies each chunk
+    straight into the output, so every image runs the same GEMM on the
+    same operands.
 
     `live` = (indices, weight matrix on them) multiplies only those columns
     of the (C_out, C_in*kh*kw) weight matrix, the others being zero: the
-    live rows of the column matrix are gathered, each image's into one
-    contiguous block. It is refused while a graph is recorded.
+    live rows of each chunk's column matrix are gathered, each image's
+    into one contiguous block. It is refused while a graph is recorded.
     """
     B, cin, H, W = x.shape
     cout, cin_w, kh, kw = w.shape
@@ -441,21 +487,26 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, live=None) -> Te
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {kh}")
     pointwise = kh == kw == 1 and stride == 1 and pad == 0
+    rows, dtype = cin * kh * kw, x.data.dtype
     if live is not None:
         _contract(not _grad_enabled(), "conv2d reads only live columns when no graph is recorded")
-    wmat = w.data.reshape(cout, cin * kh * kw) if live is None else live[1]
-    if kh == kw == 1 and pad == 0:
-        cols = x.data[:, :, ::stride, ::stride]
+    wmat = w.data.reshape(cout, rows) if live is None else live[1]
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    if not _records((x, w)):  # chunked column matrices, multiplied straight into `out`
+        out = np.empty((B, cout, ho * wo), dtype=dtype)
+        n = B if pointwise and live is None else max(1, _COLS_BUDGET // (rows * ho * wo * dtype.itemsize))
+        buf = None if pointwise else np.empty((min(n, B), rows, ho * wo), dtype=dtype)
+        for b0 in range(0, B, n):
+            xb = xp[b0 : b0 + n]
+            cols = xb.reshape(len(xb), rows, -1) if pointwise else _im2col(xb, kh, kw, stride, buf[: len(xb)])
+            if live is not None:
+                cols = np.take(cols, live[0], axis=1)
+            np.matmul(wmat[None], cols, out=out[b0 : b0 + n])
+        return _record(out.reshape(B, cout, ho, wo), (x, w), None)
+    if pointwise:
+        cols2 = x.data.reshape(B, rows, ho * wo)
     else:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-        cols = np.empty((B, cin, kh, kw, ho, wo), dtype=x.data.dtype)
-        for di in range(kh):
-            for dj in range(kw):
-                cols[:, :, di, dj] = xp[:, :, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
-        cols = cols.reshape(B, cin * kh * kw, ho, wo)
-    if live is not None:
-        cols = np.take(cols, live[0], axis=1)
-    cols2 = cols.reshape(B, -1, ho * wo)
+        cols2 = _im2col(xp, kh, kw, stride, np.empty((B, rows, ho * wo), dtype=dtype))
     out = np.matmul(wmat[None], cols2).reshape(B, cout, ho, wo)
 
     def bw(g):
@@ -521,7 +572,7 @@ _BN_EPS = 1e-5
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-               running_var: np.ndarray, training: bool) -> Tensor:
+               running_var: np.ndarray, training: bool, overwrite: bool = False) -> Tensor:
     """Batch normalization of an NCHW map over (B, H, W) per channel.
 
     Training mode normalizes with batch statistics and updates the running
@@ -533,13 +584,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     on the centred copy that is then normalized, scaled and shifted in
     place into the output. The op keeps only the per-channel mean and
     inverse deviation: the backward rebuilds the normalized input from
-    `x` with the forward's two operations.
+    `x` with the forward's two operations. With `overwrite` (see the
+    memory contract) the centred copy is x's array itself.
     """
     axes, cshape = (0, 2, 3), (1, -1, 1, 1)
     n = x.size // x.shape[1]
+    into = _scratch(x, (x, gamma, beta), overwrite)
     if training:
         mean = x.data.mean(axis=axes)
-        out = x.data - mean.reshape(cshape)
+        out = np.subtract(x.data, mean.reshape(cshape), out=into)
         var = np.square(out).mean(axis=axes)
         running_mean *= 1.0 - _BN_MOMENTUM
         running_mean += _BN_MOMENTUM * mean
@@ -549,7 +602,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     else:
         mean = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype)
-        out = x.data - mean.reshape(cshape)
+        out = np.subtract(x.data, mean.reshape(cshape), out=into)
     inv_std = (1.0 / np.sqrt(var + _BN_EPS)).astype(x.data.dtype).reshape(cshape)
     mean = mean.reshape(cshape)
     out *= inv_std
@@ -721,7 +774,9 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
         qkv = np.empty((3 * c_out, M), dtype=dtype)
         for rows, (idx, wmat) in zip(np.split(qkv, 3), live):
             np.matmul(wmat, xt[idx], out=rows)
-    q = qkv[:c_out].reshape(N, ch, H, W, B).copy()  # the graph keeps q, not all of qkv
+    q = qkv[:c_out].reshape(N, ch, H, W, B)
+    if _records((x, w_q, w_k, w_v, rel_pos)):
+        q = q.copy()  # the graph keeps q, not all of qkv
     qc = q * sc
     kvp = np.zeros((2, N, ch, H + 2 * half, W + 2 * half, B), dtype=dtype)
     kvp[..., half : half + H, half : half + W, :] = qkv[c_out:].reshape(2, N, ch, H, W, B)

@@ -16,7 +16,7 @@ from attndistill.models import (
     teacher50_spec,
     toy_spec,
 )
-from attndistill.tensor import Tensor
+from attndistill.tensor import Tensor, no_grad
 
 
 def _toy_pair():
@@ -66,6 +66,27 @@ def test_forward_deterministic():
     assert np.array_equal(a.data, b.data)
     for ta, tb in zip(taps_a, taps_b):
         assert np.array_equal(ta.data, tb.data)
+
+
+@pytest.mark.parametrize("spec", [toy_spec("teacher", "conv"), toy_spec("student", "hybrid"),
+                                  toy_spec("student", "homogeneous"), student_spec("student26")],
+                         ids=["toy_conv", "toy_hybrid", "toy_homogeneous", "student26"])
+def test_eval_forward_without_a_graph_has_the_bytes_of_the_recorded_one(spec):
+    """With no graph, BN, ReLU and the add write into the layers' own
+    outputs; logits and taps keep their bytes and the batch is not written."""
+    model = build_model(spec, np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    for layer in model.named_buffers().values():  # running statistics that are not the identity
+        layer[...] = rng.uniform(0.5, 1.5, layer.shape)
+    xs = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+    x = Tensor(xs.copy())
+    logits, taps = model.forward_with_taps(x, training=False)
+    assert logits.requires_grad
+    with no_grad():
+        free_logits, free_taps = model.forward_with_taps(x, training=False)
+    assert not free_logits.requires_grad and x.data.tobytes() == xs.tobytes()
+    assert free_logits.data.tobytes() == logits.data.tobytes()
+    assert [t.data.tobytes() for t in free_taps] == [t.data.tobytes() for t in taps]
 
 
 def test_forward_rejects_wrong_shape():

@@ -515,6 +515,95 @@ def test_compacted_strided_pointwise_conv_matches_masked_dense(hw):
     assert np.abs(comp - dense).max() <= 1e-5 * np.abs(dense).max()
 
 
+def _images_per_chunk(cin, k, ho):
+    return max(1, T._COLS_BUDGET // (cin * k * k * ho * ho * 4))
+
+
+@pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (1, 2, 0), (1, 1, 1), (3, 1, 1), (3, 2, 1), (3, 1, 0),
+                                          (3, 2, 0)])
+@pytest.mark.parametrize("batch", ["one", "chunks"])
+def test_conv2d_without_a_graph_matches_full_im2col(k, stride, pad, batch):
+    """The chunked column matrix of an op that records no node changes no byte."""
+    ho = (8 + 2 * pad - k) // stride + 1
+    n = _images_per_chunk(4, k, ho)
+    B = 1 if batch == "one" else 2 * n + 1  # two full chunks and a remainder
+    rng = np.random.default_rng([k, stride, pad, B])
+    x = rng.standard_normal((B, 4, 8, 8)).astype(np.float32)
+    x[0, 0, 0, :2] = -0.0
+    w = rng.standard_normal((5, 4, k, k)).astype(np.float32)
+    ref = _conv2d_reference(x, w, np.zeros((B, 5, ho, ho), np.float32), stride, pad)[0]
+    with no_grad():
+        out = T.conv2d(Tensor(x), Tensor(w, requires_grad=True), stride=stride, pad=pad)
+    assert out.data.tobytes() == ref.tobytes() and out._backward_fn is None
+    # a graph-free op on leaves that need no gradient takes the same path
+    assert T.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1)])
+@pytest.mark.parametrize("batch", ["one", "chunks"])
+def test_compacted_conv2d_is_the_per_image_product_on_the_gathered_rows(k, stride, pad, batch):
+    ho = (8 + 2 * pad - k) // stride + 1
+    B = 1 if batch == "one" else 2 * _images_per_chunk(4, k, ho) + 1
+    rng = np.random.default_rng([k, stride, pad, B, 1])
+    x = rng.standard_normal((B, 4, 8, 8)).astype(np.float32)
+    idx = np.sort(rng.choice(4 * k * k, 3 * k, replace=False))
+    wmat = rng.standard_normal((5, idx.size)).astype(np.float32)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((B, 4, k, k, ho, ho), dtype=np.float32)
+    for di in range(k):
+        for dj in range(k):
+            cols[:, :, di, dj] = xp[:, :, di : di + stride * ho : stride, dj : dj + stride * ho : stride]
+    rows = cols.reshape(B, 4 * k * k, ho * ho)[:, idx]
+    want = np.stack([wmat @ rows[b] for b in range(B)]).reshape(B, 5, ho, ho)
+    with no_grad():
+        got = T.conv2d(Tensor(x), Tensor(np.full((5, 4, k, k), np.nan, np.float32)), stride=stride, pad=pad,
+                       live=(idx, wmat)).data
+    assert got.tobytes() == want.tobytes()
+
+
+def _ops_with_overwrite(rng):
+    """name -> (op taking `overwrite`, inputs) for the three ops that may write in place."""
+    x = rng.standard_normal((3, 4, 5, 5)) * 2
+    x[0, 0, 0, :3] = (-0.0, 0.0, -1.0)
+    params = (rng.standard_normal(4), rng.standard_normal(4))
+    rm, rv = rng.standard_normal(4), rng.uniform(0.5, 2.0, 4)
+    return {
+        "relu": (lambda a, **kw: T.relu(a, **kw), [x]),
+        "add": (lambda a, b, **kw: T.add(a, b, **kw), [x, rng.standard_normal((3, 4, 5, 5))]),
+        "add_scalar": (lambda a, **kw: T.add(a, 0.5, **kw), [x]),
+        "batch_norm_eval": (lambda a, g, b, **kw: T.batch_norm(a, g, b, rm.copy(), rv.copy(), False, **kw),
+                            [x, *params]),
+        "batch_norm_train": (lambda a, g, b, **kw: T.batch_norm(a, g, b, rm.copy(), rv.copy(), True, **kw),
+                             [x, *params]),
+    }
+
+
+@pytest.mark.parametrize("name", ["relu", "add", "add_scalar", "batch_norm_eval", "batch_norm_train"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_only_a_granted_op_with_no_graph_writes_into_its_input(name, dtype):
+    """Without `overwrite` the inputs keep their bytes, as `grad_check`'s
+    leaves must; with it an op writes in place only when it records no
+    node, and either way the result has the bytes of a fresh one."""
+    op, arrays = _ops_with_overwrite(np.random.default_rng(0))[name]
+    arrays = [a.astype(dtype) for a in arrays]
+    with precision(dtype):
+        fresh = op(*[Tensor(a.copy()) for a in arrays]).data
+        for grad, kw in ((False, {}), (True, {}), (True, {"overwrite": True})):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            if grad:
+                out = op(*leaves, **kw)
+            else:
+                with no_grad():
+                    out = op(*leaves, **kw)
+            assert out.data.tobytes() == fresh.tobytes(), (name, grad, kw)
+            assert all(t.data.tobytes() == a.tobytes() for t, a in zip(leaves, arrays)), (name, grad, kw)
+            assert out.data is not leaves[0].data
+        mine = Tensor(arrays[0].copy())
+        with no_grad():
+            out = op(mine, *[Tensor(a) for a in arrays[1:]], overwrite=True)
+        assert out.data is mine.data and out.data.tobytes() == fresh.tobytes()
+
+
 def _batch_norm_reference(x, gamma, beta, rm, rv, training, g, momentum=0.1, eps=1e-5):
     """Forward, running buffers and gradients of the batch norm that keeps
     its normalized copy, with np.var for the batch variance."""
