@@ -16,10 +16,13 @@ After the digests it prints the process's peak resident set and minor
 page faults to stderr, so a memory change can be compared with the same
 command. That `maxrss` is bimodal on a single tree: repeated runs of one
 checkout read either of two values about 91 MB apart (probably heap
-placement). So a memory comparison needs several runs per side.
+placement). So a memory comparison needs several runs per side. Last it
+prints the line count of `src/attndistill/*.py` (what `wc -l` counts), the
+project's size measure, so that size and digests come from one command.
 """
 
 import contextlib
+import glob
 import hashlib
 import os
 import resource
@@ -29,7 +32,8 @@ import tempfile
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
@@ -84,6 +88,11 @@ def main():
             os.chdir(home)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     print(f"maxrss {usage.ru_maxrss / 1024:.1f} MB, minor faults {usage.ru_minflt}", file=sys.stderr)
+    lines = 0
+    for path in glob.glob(os.path.join(SRC, "attndistill", "*.py")):
+        with open(path, "rb") as f:
+            lines += f.read().count(b"\n")
+    print(f"src/attndistill/*.py {lines} lines", file=sys.stderr)
 
 
 if __name__ == "__main__":

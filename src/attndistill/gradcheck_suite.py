@@ -22,6 +22,7 @@ import numpy as np
 
 from . import attention as A
 from . import tensor as T
+from .errors import ConfigError
 from .tensor import Tensor, grad_check, precision
 
 TOLERANCE = 1e-4
@@ -58,6 +59,7 @@ CASES = [
     ("div", lambda a, b: T.div(a, b), [normal(4, 5), uniform(0.5, 2.0, 4, 1)]),
     ("sqrt", lambda a: T.sqrt(a), [uniform(0.2, 3.0, 4, 6)]),
     ("abspow", lambda a: T.abspow(a, 2.0), [normal(4, 6, shift=0.5)]),
+    ("abspow_p1", lambda a: T.abspow(a, 1.0), [normal(4, 6, shift=0.5)]),
     ("relu", lambda a: T.relu(a), [normal(5, 5, shift=0.05)]),
     ("sum", lambda a: T.tsum(a, axis=1), [normal(3, 4, 5)]),
     ("mean", lambda a: T.tmean(a, axis=(0, 2)), [normal(3, 4, 5)]),
@@ -124,6 +126,9 @@ def _suite(label, errors, seeds, tolerance, verbose):
 def run_primitive_suite(coords: int = 20, seeds: int = 5, tolerance: float = TOLERANCE,
                         verbose: bool = False):
     """Run every case across `seeds` seeds in float64; returns the failures."""
+    for name, count in (("seeds", seeds), ("coords", coords)):
+        if count < 1:
+            raise ConfigError(f"gradcheck {name} must be >= 1, got {count}")
 
     def errors(case, seed):
         loss, leaves = _build(case, seed)

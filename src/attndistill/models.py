@@ -114,12 +114,12 @@ def spec_by_name(depth: str, role: str, variant: str, classes: int, extent: int,
 class Conv2d:
     spatial_kind = "conv"
 
-    def __init__(self, cin, cout, k, stride, rng):
+    def __init__(self, cin, cout, k, stride, h, rng):
         self.cin, self.cout, self.k, self.stride = cin, cout, k, stride
+        self.h_in, self.h_out = h, h // stride
         std = np.sqrt(2.0 / (cin * k * k))
         self.w = Tensor((rng.standard_normal((cout, cin, k, k)) * std).astype(T.default_dtype()),
                         requires_grad=True)
-        self.h_in = self.h_out = 0  # filled in by the model builder
         self.live = {}
 
     def forward(self, x):
@@ -136,10 +136,10 @@ class Conv2d:
 class SelfAttention:
     spatial_kind = "attention"
 
-    def __init__(self, cin, cout, extent, heads, stride, rng, pos_scale):
+    def __init__(self, cin, cout, extent, heads, stride, h, rng, pos_scale):
         self.p = init_attention_params(cin, cout, heads, extent, rng, stride, pos_scale)
         self.cin, self.cout, self.k = cin, cout, extent
-        self.h_in = self.h_out = 0
+        self.h_in, self.h_out = h, h // stride
         self.live = {}
 
     def forward(self, x):
@@ -191,27 +191,27 @@ class Linear:
         return 2 * self.cin * self.cout
 
 
-def _spatial_layer(spec, cin, cout, stride, rng):
+def _spatial_layer(spec, cin, cout, stride, h, rng):
     if spec.variant == "conv":
-        return Conv2d(cin, cout, 3, stride, rng)
-    return SelfAttention(cin, cout, spec.extent, spec.heads, stride, rng, spec.pos_scale)
+        return Conv2d(cin, cout, 3, stride, h, rng)
+    return SelfAttention(cin, cout, spec.extent, spec.heads, stride, h, rng, spec.pos_scale)
 
 
 class Bottleneck:
     """conv1x1 -> spatial (conv or attention) -> conv1x1, with shortcut."""
 
-    def __init__(self, spec, cin, width, stride, rng):
+    def __init__(self, spec, cin, width, stride, h, rng):
         out = width * spec.expansion
-        self.conv1 = Conv2d(cin, width, 1, 1, rng)
+        self.conv1 = Conv2d(cin, width, 1, 1, h, rng)
         self.bn1 = BatchNorm(width)
-        self.spatial = _spatial_layer(spec, width, width, stride, rng)
+        self.spatial = _spatial_layer(spec, width, width, stride, h, rng)
         self.bn2 = BatchNorm(width)
-        self.conv3 = Conv2d(width, out, 1, 1, rng)
+        self.conv3 = Conv2d(width, out, 1, 1, h // stride, rng)
         self.bn3 = BatchNorm(out)
         self.down = None
         self.down_bn = None
         if stride != 1 or cin != out:
-            self.down = Conv2d(cin, out, 1, stride, rng)
+            self.down = Conv2d(cin, out, 1, stride, h, rng)
             self.down_bn = BatchNorm(out)
         self.out_channels = out
 
@@ -236,26 +236,19 @@ class Bottleneck:
 class Model:
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         self.spec = spec
-        if spec.variant == "homogeneous":
-            self.stem = SelfAttention(3, spec.stem_out, spec.extent, spec.heads, 1, rng, spec.pos_scale)
-        else:
-            self.stem = Conv2d(3, spec.stem_out, 3, 1, rng)
-        self.stem_bn = BatchNorm(spec.stem_out)
-        self.stages = []
         cin, h = spec.stem_out, spec.input_hw
-        self.stem.h_in = self.stem.h_out = h
+        if spec.variant == "homogeneous":
+            self.stem = SelfAttention(3, cin, spec.extent, spec.heads, 1, h, rng, spec.pos_scale)
+        else:
+            self.stem = Conv2d(3, cin, 3, 1, h, rng)
+        self.stem_bn = BatchNorm(cin)
+        self.stages = []
         for s, (width, nblocks) in enumerate(zip(spec.widths, spec.blocks)):
             blocks = []
             for b in range(nblocks):
                 stride = 2 if (s > 0 and b == 0) else 1
-                blk = Bottleneck(spec, cin, width, stride, rng)
-                blk.conv1.h_in = blk.conv1.h_out = blk.spatial.h_in = h
-                if blk.down is not None:
-                    blk.down.h_in, blk.down.h_out = h, h // stride
-                h //= stride
-                blk.spatial.h_out = blk.conv3.h_in = blk.conv3.h_out = h
-                blocks.append(blk)
-                cin = blk.out_channels
+                blocks.append(Bottleneck(spec, cin, width, stride, h, rng))
+                cin, h = blocks[-1].out_channels, h // stride
             self.stages.append(blocks)
         self.fc = Linear(cin, spec.classes, rng)
 

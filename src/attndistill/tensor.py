@@ -22,20 +22,24 @@ weights. So an activation is read-only once an op has recorded it:
 writing into a recorded input or output in place would change the
 gradients computed from it.
 
-An op that records no node keeps nothing, and three of them may write
-their result into an input: `batch_norm`, `relu` and `add` (its first
-operand) do so when the caller passes `overwrite=True`, with the same
-ufuncs in the same order, so the bytes are those of a fresh result. The
-permission comes from the caller that made the array, never from the
-grad mode alone: `grad_check` evaluates its function under `no_grad` on
-its own leaves, and a block's input is also its shortcut and a tap. The
-models grant it only for their own conv, attention and pool outputs.
-Such a `conv2d` keeps no column matrix, so it builds one for as many
-images as fit `_COLS_BUDGET` (512 KiB, at least one image) in a reused
-buffer. On the toy conv teacher at B=100 (2-vCPU Xeon, one BLAS thread)
-its no-graph forward took 60 ms with 512 KiB or 1 MiB chunks, 62 ms
-with 256 KiB, 66 ms with 128 KiB and 73 ms with whole column matrices,
-against 83-87 ms with neither chunks nor in-place writes.
+Whether an op records a node decides what it keeps, never how it
+computes: every primitive has one forward. An op that records no node
+keeps nothing, and three of them may write their result into an input:
+`batch_norm`, `relu` and `add` (its first operand) do so when the caller
+passes `overwrite=True`, with the same ufuncs in the same order, so the
+bytes are those of a fresh result. The permission comes from the caller
+that made the array, never from the grad mode alone: `grad_check`
+evaluates its function under `no_grad` on its own leaves, and a block's
+input is also its shortcut and a tap. The models grant it only for their
+own conv, attention and pool outputs. `conv2d` runs one loop over chunks
+of images whatever the mode: a recorded call's one chunk is the whole
+batch, whose column matrix it keeps; any other call builds a column
+matrix for as many images as fit `_COLS_BUDGET` (512 KiB, at least one
+image) in a reused buffer. On the toy conv teacher at B=100 (2-vCPU
+Xeon, one BLAS thread) its no-graph forward took 60 ms with 512 KiB or
+1 MiB chunks, 62 ms with 256 KiB, 66 ms with 128 KiB and 73 ms with
+whole column matrices, against 83-87 ms with neither chunks nor in-place
+writes.
 
 The graph is single-use. As `backward()` passes each node's gradient on
 to its parents, it drops that node's closure and parents, so what the
@@ -135,13 +139,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_fn = None
-        return out
+        return _record(self.data, (), None)
 
     def zero_grad(self):
         self.grad = None
@@ -248,8 +246,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def add(a: Tensor, b, overwrite: bool = False) -> Tensor:
     """a + b; with `overwrite` (see the memory contract) into a's array."""
     if not isinstance(b, Tensor):
-        out = np.add(a.data, np.asarray(b, dtype=a.data.dtype), out=_scratch(a, (a,), overwrite))
-        return _record(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
+        b = Tensor(b, dtype=a.data.dtype)
     data = np.add(a.data, b.data, out=_scratch(a, (a, b), overwrite))
 
     def bw(g):
@@ -295,15 +292,11 @@ def sqrt(a: Tensor) -> Tensor:
 def abspow(a: Tensor, p: float) -> Tensor:
     """|x| ** p with p >= 1; subgradient 0 at the origin."""
     _contract(p >= 1, f"abspow exponent must be >= 1, got {p}")
-    mag = np.abs(a.data)
-    data = mag if p == 1 else mag**p
 
     def bw(g):
-        if p == 1:
-            return (g * np.sign(a.data),)
         return (g * (p * np.abs(a.data) ** (p - 1) * np.sign(a.data)),)
 
-    return _record(data, (a,), bw)
+    return _record(np.abs(a.data) ** p, (a,), bw)
 
 
 def relu(a: Tensor, overwrite: bool = False) -> Tensor:
@@ -457,21 +450,20 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, cols: np.ndarray):
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, live=None) -> Tensor:
     """Cross-correlation of NCHW input with OIHW weights, zero padding.
 
-    Forward is im2col plus one BLAS GEMM per image. An unpadded 1x1
-    stride-1 kernel's column matrix is its input, read as a view, so that
-    op keeps no copy of its input; every other shape keeps its im2col copy
-    for the weight gradient. The weight gradient is one BLAS GEMM per
-    image, `g[b] @ cols[b].T`, summed over the batch into a float64
-    accumulator and rounded once to the gradient's dtype. With the float64
-    sum the result does not depend on the order the images are added in,
-    and its error is that of one float32 contraction over the batch. The
-    input gradient is skipped when the input does not require grad (the
-    stem).
-
-    An op that records no node builds its column matrix a chunk of
-    images at a time (see the memory contract) and multiplies each chunk
-    straight into the output, so every image runs the same GEMM on the
-    same operands.
+    Forward is one loop over chunks of images: the chunk's im2col, then
+    one BLAS GEMM per image straight into the output, so every image runs
+    the same GEMM on the same operands whatever the chunk. An unpadded
+    1x1 stride-1 kernel's column matrix is its input, read as a view, in
+    one chunk. A recorded call also takes the whole batch as one chunk and
+    keeps that column matrix for the weight gradient, so only a 1x1
+    stride-1 op keeps no copy of its input. Any other call chunks by
+    `_COLS_BUDGET` (see the memory contract). The weight gradient is one
+    BLAS GEMM per image, `g[b] @ cols[b].T`, summed over the batch into a
+    float64 accumulator and rounded once to the gradient's dtype. With the
+    float64 sum the result does not depend on the order the images are
+    added in, and its error is that of one float32 contraction over the
+    batch. The input gradient is skipped when the input does not require
+    grad (the stem).
 
     `live` = (indices, weight matrix on them) multiplies only those columns
     of the (C_out, C_in*kh*kw) weight matrix, the others being zero: the
@@ -492,22 +484,17 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, live=None) -> Te
         _contract(not _grad_enabled(), "conv2d reads only live columns when no graph is recorded")
     wmat = w.data.reshape(cout, rows) if live is None else live[1]
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    if not _records((x, w)):  # chunked column matrices, multiplied straight into `out`
-        out = np.empty((B, cout, ho * wo), dtype=dtype)
-        n = B if pointwise and live is None else max(1, _COLS_BUDGET // (rows * ho * wo * dtype.itemsize))
-        buf = None if pointwise else np.empty((min(n, B), rows, ho * wo), dtype=dtype)
-        for b0 in range(0, B, n):
-            xb = xp[b0 : b0 + n]
-            cols = xb.reshape(len(xb), rows, -1) if pointwise else _im2col(xb, kh, kw, stride, buf[: len(xb)])
-            if live is not None:
-                cols = np.take(cols, live[0], axis=1)
-            np.matmul(wmat[None], cols, out=out[b0 : b0 + n])
-        return _record(out.reshape(B, cout, ho, wo), (x, w), None)
-    if pointwise:
-        cols2 = x.data.reshape(B, rows, ho * wo)
-    else:
-        cols2 = _im2col(xp, kh, kw, stride, np.empty((B, rows, ho * wo), dtype=dtype))
-    out = np.matmul(wmat[None], cols2).reshape(B, cout, ho, wo)
+    out = np.empty((B, cout, ho * wo), dtype=dtype)
+    whole = _records((x, w)) or (pointwise and live is None)
+    n = B if whole else max(1, _COLS_BUDGET // (rows * ho * wo * dtype.itemsize))
+    buf = None if pointwise else np.empty((min(n, B), rows, ho * wo), dtype=dtype)
+    for b0 in range(0, B, n):
+        xb = xp[b0 : b0 + n]
+        cols2 = xb.reshape(len(xb), rows, -1) if pointwise else _im2col(xb, kh, kw, stride, buf[: len(xb)])
+        if live is not None:
+            cols2 = np.take(cols2, live[0], axis=1)
+        np.matmul(wmat[None], cols2, out=out[b0 : b0 + n])
+    out = out.reshape(B, cout, ho, wo)
 
     def bw(g):
         g2 = g.reshape(B, cout, ho * wo)
@@ -743,7 +730,8 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
     zero; it is refused while a graph is recorded.
 
     The arithmetic is that of a channel-major (B, heads, c, H, W)
-    formulation: projections by BLAS, keys and values zero-padded by k//2,
+    formulation: q, k and v by one BLAS GEMM each, on the live channels
+    when `live` is given, keys and values zero-padded by k//2,
     and a loop over the k*k offsets in which each neighbor is a shifted
     slice of the padded maps, so no (B, H*W, k*k, c) neighborhood is
     materialized. The elementwise loops hold their maps batch-innermost,
@@ -768,18 +756,14 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
 
     xt = _batch_last(x.data).reshape(c_in, M)
     if live is None:
-        qkv = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1).T @ xt  # (3 c_out, M)
+        live = [(slice(None), w.data.T) for w in (w_q, w_k, w_v)]
     else:
         _contract(not _grad_enabled(), "local_attention reads only live columns when no graph is recorded")
-        qkv = np.empty((3 * c_out, M), dtype=dtype)
-        for rows, (idx, wmat) in zip(np.split(qkv, 3), live):
-            np.matmul(wmat, xt[idx], out=rows)
-    q = qkv[:c_out].reshape(N, ch, H, W, B)
-    if _records((x, w_q, w_k, w_v, rel_pos)):
-        q = q.copy()  # the graph keeps q, not all of qkv
+    q, *kv = (np.matmul(wmat, xt[idx]).reshape(N, ch, H, W, B) for idx, wmat in live)
     qc = q * sc
     kvp = np.zeros((2, N, ch, H + 2 * half, W + 2 * half, B), dtype=dtype)
-    kvp[..., half : half + H, half : half + W, :] = qkv[c_out:].reshape(2, N, ch, H, W, B)
+    for padded, proj in zip(kvp, kv):
+        padded[..., half : half + H, half : half + W, :] = proj
 
     band = rel_pos.data[:, half : half + k, half : half + k].reshape(N, K, ch)
     logits = np.matmul(band * sp, q.reshape(N, ch, M)).reshape(N, K, H, W, B)

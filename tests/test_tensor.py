@@ -699,6 +699,24 @@ def test_local_attention_grads_match_tensordot_formulation(B, c, hw, heads, k):
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("B,c,hw,heads,k", [(100, 8, 8, 2, 3), (3, 12, 5, 4, 5)])
+def test_local_attention_live_on_every_channel_is_the_dense_call(B, c, hw, heads, k):
+    """A `live` that lists every input channel of each projection, as index
+    arrays, runs the dense call's GEMMs and returns its bytes; the weight
+    tensors, NaN here, are not read."""
+    rng = np.random.default_rng([B, c, hw, 1])
+    x = Tensor(rng.standard_normal((B, c, hw, hw)).astype(np.float32))
+    ws = [(rng.standard_normal((c, c)) * c**-0.5).astype(np.float32) for _ in range(3)]
+    rel_pos = Tensor((rng.standard_normal((heads, 2 * k - 1, 2 * k - 1, c // heads)) * 0.3).astype(np.float32))
+    nan = Tensor(np.full((c, c), np.nan, np.float32))
+    idx = np.arange(c)
+    with no_grad():
+        dense = T.local_attention(x, *map(Tensor, ws), rel_pos, c**-0.5, c**-0.25).data
+        live = T.local_attention(x, nan, nan, nan, rel_pos, c**-0.5, c**-0.25,
+                                 live=[(idx, w.T[:, idx]) for w in ws]).data
+    assert live.tobytes() == dense.tobytes()
+
+
 # --- lean autodiff graph: what a recorded op keeps beyond its output ---
 
 

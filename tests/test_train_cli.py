@@ -481,9 +481,13 @@ def test_flags_build_the_config_that_a_config_file_builds(tmp_path, values):
     (["train-teacher", "--lr-drop-factor", "-2.0"], "field lr_drop_factor "),
     (["train-teacher", "--lr-drop-factor", "0"], "field lr_drop_factor "),
     (["train-teacher", "--lr-drops", "18", "-5"], "field lr_drops "),
+    (["gradcheck", "--seeds", "0"], "gradcheck seeds "),
+    (["gradcheck", "--coords", "0"], "gradcheck coords "),
+    (["gradcheck", "--coords", "-1"], "gradcheck coords "),
 ], ids=["unknown_choice", "non_integer", "unknown_flag", "abbreviated_flag", "no_teacher", "no_command",
         "negative_seed", "no_classes", "negative_synth_train", "no_synth_test", "negative_weight_decay",
-        "negative_lr_drop_factor", "zero_lr_drop_factor", "negative_lr_drop"])
+        "negative_lr_drop_factor", "zero_lr_drop_factor", "negative_lr_drop", "no_gradcheck_seeds",
+        "no_gradcheck_coords", "negative_gradcheck_coords"])
 def test_cli_bad_input_is_one_config_error(tmp_path, capsys, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)
     assert cli_main(argv) == 1
