@@ -11,14 +11,17 @@ images. Output directories are relative, because `out_dir` is stored in
 every manifest.
 Prints `sha256  path` for every metrics CSV and checkpoint. Run it in two
 checkouts and diff the outputs: equal lines mean byte-identical artifacts.
-BLAS runs on one thread, so the digests do not depend on the core count.
-After the digests it prints the process's peak resident set and minor
-page faults to stderr, so a memory change can be compared with the same
-command. That `maxrss` is bimodal on a single tree: repeated runs of one
-checkout read either of two values about 91 MB apart (probably heap
-placement). So a memory comparison needs several runs per side. Last it
-prints the line count of `src/attndistill/*.py` (what `wc -l` counts), the
-project's size measure, so that size and digests come from one command.
+BLAS runs on one thread, and `local_attention` splits only work that
+gives the same bytes in either thread, so the digests must match at one
+and at two CPUs: compare a plain run with one under `taskset -c 0`.
+After the digests it prints the process's peak resident set, minor page
+faults and usable CPU count to stderr, so a memory change can be
+compared with the same command. That `maxrss` is bimodal on a single
+tree: repeated runs of one checkout read either of two values about 91
+MB apart (probably heap placement). So a memory comparison needs several
+runs per side. Last it prints the line count of `src/attndistill/*.py`
+(what `wc -l` counts), the project's size measure, so that size and
+digests come from one command.
 """
 
 import contextlib
@@ -87,7 +90,8 @@ def main():
         finally:
             os.chdir(home)
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    print(f"maxrss {usage.ru_maxrss / 1024:.1f} MB, minor faults {usage.ru_minflt}", file=sys.stderr)
+    print(f"maxrss {usage.ru_maxrss / 1024:.1f} MB, minor faults {usage.ru_minflt}, "
+          f"cpus {len(os.sched_getaffinity(0))}", file=sys.stderr)
     lines = 0
     for path in glob.glob(os.path.join(SRC, "attndistill", "*.py")):
         with open(path, "rb") as f:

@@ -115,8 +115,7 @@ class Conv2d:
     spatial_kind = "conv"
 
     def __init__(self, cin, cout, k, stride, h, rng):
-        self.cin, self.cout, self.k, self.stride = cin, cout, k, stride
-        self.h_in, self.h_out = h, h // stride
+        self.cin, self.cout, self.k, self.stride, self.h_out = cin, cout, k, stride, h // stride
         std = np.sqrt(2.0 / (cin * k * k))
         self.w = Tensor((rng.standard_normal((cout, cin, k, k)) * std).astype(T.default_dtype()),
                         requires_grad=True)
@@ -138,8 +137,7 @@ class SelfAttention:
 
     def __init__(self, cin, cout, extent, heads, stride, h, rng, pos_scale):
         self.p = init_attention_params(cin, cout, heads, extent, rng, stride, pos_scale)
-        self.cin, self.cout, self.k = cin, cout, extent
-        self.h_in, self.h_out = h, h // stride
+        self.cin, self.cout, self.k, self.h_in = cin, cout, extent, h
         self.live = {}
 
     def forward(self, x):

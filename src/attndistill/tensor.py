@@ -51,13 +51,16 @@ loss and to the forward's outputs, nothing of the step is left.
 
 Thread contract: tensors are plain arrays, safe to share for read-only
 evaluation; recording state (grad mode, default dtype) is thread-local,
-and gradient accumulation belongs to the single training thread. No
-operator parallelism is used beyond whatever BLAS does under a fixed
-thread configuration, so forward results are bitwise reproducible.
+and gradient accumulation belongs to the single training thread. Only
+`local_attention` starts a thread, for half of its per-head work
+(`_split_heads`; none with one CPU), and that thread calls numpy alone,
+never a Tensor op. Each reduction there runs within one head, and BLAS
+under a fixed thread configuration, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from contextlib import contextmanager
 
@@ -716,6 +719,33 @@ def _batch_last(a: np.ndarray) -> np.ndarray:
     return staged[:, :R].T.copy().reshape(a.shape[1:] + (B,))
 
 
+_TWO_CPUS = len(os.sched_getaffinity(0)) > 1 if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1) > 1
+
+
+def _split_heads(n: int, fn):
+    """Call `fn` on a slice of the first half of `range(n)` here, and of the second in one
+    other thread; both end before this does, and the second's exception re-raises here."""
+    cut = (n + 1) // 2 if _TWO_CPUS else n
+    if cut == n:
+        return fn(slice(0, n))
+    failed = []
+
+    def second():
+        try:
+            fn(slice(cut, n))
+        except BaseException as e:  # handed to the calling thread, which raises it
+            failed.append(e)
+
+    worker = threading.Thread(target=second)
+    worker.start()
+    try:
+        fn(slice(0, cut))
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+
+
 def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: Tensor,
                     content_scale: float, pos_scale: float, live=None) -> Tensor:
     """Multi-head k x k local self-attention of an NCHW map, one graph node.
@@ -740,7 +770,9 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
     GEMMs that sum over the batch take it outermost, in image order. The
     node keeps the queries, the padded keys and values and the softmax
     weights; the backward recomputes the scaled queries and the stacked
-    projection matrix and allocates its own scratch.
+    projection matrix and allocates its own scratch. Each pass runs its
+    per-head part, all but the projections and the layout copies around
+    them, on two halves of the head axis in two threads (`_split_heads`).
     """
     B, c_in, H, W = x.shape
     N, span, _, ch = rel_pos.shape
@@ -760,58 +792,62 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
     else:
         _contract(not _grad_enabled(), "local_attention reads only live columns when no graph is recorded")
     q, *kv = (np.matmul(wmat, xt[idx]).reshape(N, ch, H, W, B) for idx, wmat in live)
-    qc = q * sc
     kvp = np.zeros((2, N, ch, H + 2 * half, W + 2 * half, B), dtype=dtype)
     for padded, proj in zip(kvp, kv):
         padded[..., half : half + H, half : half + W, :] = proj
 
     band = rel_pos.data[:, half : half + k, half : half + k].reshape(N, K, ch)
-    logits = np.matmul(band * sp, q.reshape(N, ch, M)).reshape(N, K, H, W, B)
-    prod = np.empty_like(q)
-    for d, (i, j) in enumerate(offsets):
-        np.multiply(qc, kvp[0, ..., i : i + H, j : j + W, :], out=prod)
-        logits[:, d] += prod.sum(axis=1)
-    inside = np.zeros((H + 2 * half, W + 2 * half, 1), dtype=dtype)
-    inside[half : half + H, half : half + W] = 1
-    logits += np.stack([(1 - inside[i : i + H, j : j + W]) * dtype.type(_NEG) for i, j in offsets])
-    if not np.isfinite(logits).all():  # the finite bias neither hides nor makes a non-finite logit
-        raise NumericError("local_attention logits contain non-finite values")
-    logits -= logits.max(axis=1, keepdims=True)
-    a = np.exp(logits, out=logits)
-    a /= a.sum(axis=1, keepdims=True)  # (N, K, H, W, B)
+    inside = np.pad(np.ones((H, W, 1), dtype=dtype), ((half, half), (half, half), (0, 0)))
+    bias = np.stack([(1 - inside[i : i + H, j : j + W]) * dtype.type(_NEG) for i, j in offsets])
+    a, out = np.empty((N, K, H, W, B), dtype=dtype), np.zeros_like(q)  # a: logits, then weights
 
-    out = np.zeros_like(q)
-    for d, (i, j) in enumerate(offsets):
-        np.multiply(a[:, d, None], kvp[1, ..., i : i + H, j : j + W, :], out=prod)
-        out += prod
+    def forward_heads(hs):
+        qh, (kh, vh), ah, oh = q[hs], kvp[:, hs], a[hs], out[hs]
+        np.matmul(band[hs] * sp, qh.reshape(-1, ch, M), out=ah.reshape(-1, K, M))
+        qc, prod = qh * sc, np.empty_like(qh)
+        for d, (i, j) in enumerate(offsets):
+            np.multiply(qc, kh[..., i : i + H, j : j + W, :], out=prod)
+            ah[:, d] += prod.sum(axis=1)
+        ah += bias
+        if not np.isfinite(ah).all():  # the finite bias neither hides nor makes a non-finite logit
+            raise NumericError("local_attention logits contain non-finite values")
+        ah -= ah.max(axis=1, keepdims=True)
+        np.exp(ah, out=ah)
+        ah /= ah.sum(axis=1, keepdims=True)
+        for d, (i, j) in enumerate(offsets):
+            np.multiply(ah[:, d, None], vh[..., i : i + H, j : j + W, :], out=prod)
+            oh += prod
+
+    _split_heads(N, forward_heads)
 
     def bw(g):
         gh = _batch_last(g).reshape(N, ch, H, W, B)
-        qc = q * sc
-        prod = np.empty_like(q)
-        da = np.empty_like(a)
-        dkvp = np.zeros_like(kvp)
-        for d, (i, j) in enumerate(offsets):
-            np.multiply(gh, kvp[1, ..., i : i + H, j : j + W, :], out=prod)
-            prod.sum(axis=1, out=da[:, d])
-            np.multiply(a[:, d, None], gh, out=prod)
-            dkvp[1, ..., i : i + H, j : j + W, :] += prod
-        dl = a * (da - (da * a).sum(axis=1, keepdims=True))  # softmax backward
-        dl_flat = dl.reshape(N, K, M)
-        dq = np.matmul(band.transpose(0, 2, 1) * sp, dl_flat).reshape(N, ch, H, W, B)
-        dqc = np.zeros_like(q)
-        for d, (i, j) in enumerate(offsets):
-            dld = dl[:, d, None]
-            np.multiply(dld, kvp[0, ..., i : i + H, j : j + W, :], out=prod)
-            dqc += prod
-            np.multiply(dld, qc, out=prod)
-            dkvp[0, ..., i : i + H, j : j + W, :] += prod
-        dq += dqc * sc
-        dl_b = np.ascontiguousarray(dl.reshape(N, K, H * W, B).transpose(3, 0, 1, 2))
-        q_b = np.ascontiguousarray(q.reshape(N, ch, H * W, B).transpose(3, 0, 2, 1))
-        dband = np.matmul(dl_b, q_b).sum(axis=0) * sp
-        drel = np.zeros_like(rel_pos.data)
-        drel[:, half : half + k, half : half + k] = dband.reshape(N, k, k, ch)
+        dkvp, dq, drel = np.zeros_like(kvp), np.empty_like(q), np.zeros_like(rel_pos.data)
+
+        def backward_heads(hs):
+            qh, ghh, ah, (kh, vh), (dkh, dvh) = q[hs], gh[hs], a[hs], kvp[:, hs], dkvp[:, hs]
+            qc, prod, da = qh * sc, np.empty_like(qh), np.empty_like(ah)
+            for d, (i, j) in enumerate(offsets):
+                np.multiply(ghh, vh[..., i : i + H, j : j + W, :], out=prod)
+                prod.sum(axis=1, out=da[:, d])
+                np.multiply(ah[:, d, None], ghh, out=prod)
+                dvh[..., i : i + H, j : j + W, :] += prod
+            dl = ah * (da - (da * ah).sum(axis=1, keepdims=True))  # softmax backward
+            np.matmul(band[hs].transpose(0, 2, 1) * sp, dl.reshape(-1, K, M), out=dq[hs].reshape(-1, ch, M))
+            dqc = np.zeros_like(qh)
+            for d, (i, j) in enumerate(offsets):
+                dld = dl[:, d, None]
+                np.multiply(dld, kh[..., i : i + H, j : j + W, :], out=prod)
+                dqc += prod
+                np.multiply(dld, qc, out=prod)
+                dkh[..., i : i + H, j : j + W, :] += prod
+            dq[hs] += dqc * sc
+            dl_b = np.ascontiguousarray(dl.reshape(-1, K, H * W, B).transpose(3, 0, 1, 2))
+            q_b = np.ascontiguousarray(qh.reshape(-1, ch, H * W, B).transpose(3, 0, 2, 1))
+            dband = np.matmul(dl_b, q_b).sum(axis=0) * sp
+            drel[hs, half : half + k, half : half + k] = dband.reshape(-1, k, k, ch)
+
+        _split_heads(N, backward_heads)
 
         # q/k/v gradients as one (3 c_out, B*H*W) matrix, batch outermost
         d = np.empty((3, N, ch, B, H, W), dtype=dtype)

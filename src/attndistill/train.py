@@ -263,7 +263,7 @@ def _density_metrics(model: Model, state: S.SparseState | None):
     return state.nonzero() / prunable, nonzero / total, state.layer_densities()
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt parameters, from glibc's malloc.h
 
 
 def _keep_freed_heap():
@@ -272,8 +272,9 @@ def _keep_freed_heap():
     Each step frees its whole graph, and the next step allocates the same
     sizes again. With glibc's defaults the freed pages go back to the OS
     (a trimmed heap top, munmapped large blocks) and fault in again on the
-    next step. This raises the trim threshold to 1 GiB and fixes the mmap
-    threshold at 32 MiB, glibc's ceiling, for this process only. Where
+    next step. For this process only, it raises the trim threshold to 1
+    GiB, fixes the mmap threshold at 32 MiB (glibc's ceiling) and keeps
+    one arena, so `local_attention`'s second thread reuses this heap. Where
     `mallopt` cannot be found (not glibc) it does nothing.
     """
     try:
@@ -283,6 +284,7 @@ def _keep_freed_heap():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfig,

@@ -1,4 +1,5 @@
 import gc
+import threading
 import weakref
 
 import mpmath
@@ -715,6 +716,74 @@ def test_local_attention_live_on_every_channel_is_the_dense_call(B, c, hw, heads
         live = T.local_attention(x, nan, nan, nan, rel_pos, c**-0.5, c**-0.25,
                                  live=[(idx, w.T[:, idx]) for w in ws]).data
     assert live.tobytes() == dense.tobytes()
+
+
+def _attention_inputs(heads, B=6, ch=3, hw=5, k=3, seed=0):
+    rng = np.random.default_rng([heads, seed])
+    c = heads * ch
+    x = rng.standard_normal((B, c, hw, hw)).astype(np.float32)
+    ws = [(rng.standard_normal((c, c)) * c**-0.5).astype(np.float32) for _ in range(3)]
+    rel_pos = (rng.standard_normal((heads, 2 * k - 1, 2 * k - 1, ch)) * 0.3).astype(np.float32)
+    return x, ws, rel_pos, rng.standard_normal((B, c, hw, hw)).astype(np.float32)
+
+
+def _attention_bytes(heads):
+    """The recorded output and its five gradients, then an unrecorded call
+    on a `live` subset of input channels, all as bytes."""
+    x, ws, rel_pos, g = _attention_inputs(heads)
+    c = x.shape[1]
+    leaves = [Tensor(a, requires_grad=True) for a in (x, *ws, rel_pos)]
+    out = T.local_attention(*leaves, c**-0.5, c**-0.25)
+    _backward_with(out, g)
+    idx = np.arange(0, c, 2)
+    with no_grad():
+        live = T.local_attention(*map(Tensor, (x, *ws, rel_pos)), c**-0.5, c**-0.25,
+                                 live=[(idx, w.T[:, idx]) for w in ws])
+    return [a.tobytes() for a in (out.data, *(t.grad for t in leaves), live.data)]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3, 8])
+def test_local_attention_split_over_two_threads_is_the_inline_call(heads, monkeypatch):
+    """Two halves of the head axis, one in a second thread, give the bytes
+    of the whole axis run inline, as with one CPU."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    monkeypatch.setattr(T, "_TWO_CPUS", True)
+    split = _attention_bytes(heads)
+    assert len(started) == (3 if heads > 1 else 0)  # forward, backward, live forward
+    monkeypatch.setattr(T, "_TWO_CPUS", False)
+    assert _attention_bytes(heads) == split
+    assert len(started) == (3 if heads > 1 else 0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # numpy's, from either thread
+def test_local_attention_error_in_the_second_half_raises_in_the_caller(monkeypatch):
+    monkeypatch.setattr(T, "_TWO_CPUS", True)
+    x, ws, rel_pos, _ = _attention_inputs(2)
+    c = x.shape[1]
+    bad = ws[0].copy()
+    bad[:, c // 2 :] = np.inf  # only the last head's queries, so only its logits
+    threads = threading.active_count()
+    with pytest.raises(NumericError, match="local_attention logits"):
+        T.local_attention(*map(Tensor, (x, bad, *ws[1:], rel_pos)), c**-0.5, c**-0.25)
+    assert threading.active_count() == threads
+    out = T.local_attention(*map(Tensor, (x, *ws, rel_pos)), c**-0.5, c**-0.25)
+    assert np.isfinite(out.data).all() and threading.active_count() == threads
+
+
+def test_local_attention_with_one_cpu_starts_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(T, "_TWO_CPUS", False)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    assert len(_attention_bytes(8)) == 7
 
 
 # --- lean autodiff graph: what a recorded op keeps beyond its output ---
