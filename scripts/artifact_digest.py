@@ -9,8 +9,15 @@ through `cli.main`, so flag parsing is covered as well), toy homogeneous
 and student26 column distillation from an untrained teacher50 on 16
 images. Output directories are relative, because `out_dir` is stored in
 every manifest.
-Prints `sha256  path` for every metrics CSV and checkpoint. Run it in two
-checkouts and diff the outputs: equal lines mean byte-identical artifacts.
+Prints `sha256  path` for every metrics CSV and checkpoint, then one
+`sha256  model-structure` line over seven freshly built models (teacher50,
+student26 hybrid and conv, student38 homogeneous, the toy teacher and the
+toy hybrid and homogeneous students): their parameter names, shapes and
+initial bytes, buffers, `prunable()` names, order and shapes with and
+without the stem, `count_params`, and `count_flops` unmasked and under
+`init_mask` masks in both modes, with and without the stem. Run it in two
+checkouts and diff the outputs: equal lines mean byte-identical artifacts
+and the same models.
 BLAS runs on one thread, and `local_attention` splits only work that
 gives the same bytes in either thread, so the digests must match at one
 and at two CPUs: compare a plain run with one under `taskset -c 0`.
@@ -40,7 +47,7 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from attndistill import cli, models, train  # noqa: E402
+from attndistill import cli, models, sparse, train  # noqa: E402
 from attndistill.config import TrainConfig  # noqa: E402
 
 TOY = dict(dataset="synthetic", synth_train=400, synth_test=200, classes=2, batch_size=50,
@@ -75,6 +82,32 @@ def run_fixtures():
                                      density=0.5, prune_mode="column", **DISTILL, **FULL), teacher50)
 
 
+def model_structure() -> str:
+    """sha256 of what seven models are built with and count, one model alive at a time."""
+    specs = [models.teacher50_spec(10), models.student_spec("student26", "hybrid"),
+             models.student_spec("student26", "conv"), models.student_spec("student38", "homogeneous"),
+             models.toy_spec("teacher", "conv"), models.toy_spec("student", "hybrid"),
+             models.toy_spec("student", "homogeneous")]
+    h = hashlib.sha256()
+    for i, spec in enumerate(specs):
+        model = models.build_model(spec, np.random.default_rng([i, 1]))
+        for kind, table in (("param", {n: t.data for n, t in model.named_params().items()}),
+                            ("buf", model.named_buffers())):
+            for name, arr in table.items():
+                h.update(f"{i} {kind} {name} {arr.shape} {arr.dtype}\n".encode())
+                h.update(np.ascontiguousarray(arr).tobytes())
+        counts = [[(n, t.shape) for n, t in model.prunable(stem).items()] for stem in (True, False)]
+        counts += [models.count_params(model), models.count_flops(model)]
+        for mode in sparse.MODES:
+            for stem in (True, False):
+                masks = sparse.init_mask(model, 0.5, np.random.default_rng([i, 2]), mode=mode,
+                                         include_stem=stem).masks
+                counts += [models.count_params(model, masks), models.count_flops(model, masks)]
+        h.update(f"{i} {counts}\n".encode())
+        del model
+    return h.hexdigest()
+
+
 def main():
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -87,6 +120,7 @@ def main():
             for path in paths:
                 with open(path, "rb") as f:
                     print(f"{hashlib.sha256(f.read()).hexdigest()}  {path}")
+            print(f"{model_structure()}  model-structure")
         finally:
             os.chdir(home)
     usage = resource.getrusage(resource.RUSAGE_SELF)

@@ -1,4 +1,8 @@
-"""Run configuration: one flat dataclass, each field of which is a CLI flag.
+"""Run configuration: one dataclass, each field of which is a CLI flag.
+
+`TrainConfig` extends `distill.DistillConfig`, so the loss weights and
+their range checks are declared once, and a run config is the loss config
+`train` hands to its epoch loop.
 
 A JSON config file may supply any field; explicit CLI flags override the
 file, and everything else falls back to the defaults below. `CHOICES` maps
@@ -44,7 +48,7 @@ def _fits(value, kind: str) -> bool:
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(DistillConfig):
     # run
     out_dir: str = "runs/default"
     seed: int = 0
@@ -69,12 +73,6 @@ class TrainConfig:
     extent: int = 3
     heads: int = 2
     pos_scale: str = "fourth-root"
-    # distillation
-    alpha: float = 0.1
-    beta: float = 1000.0
-    temperature: float = 4.0
-    map_power: float = 2.0
-    temperature_sq_correction: bool = True
     # sparsity
     density: float = 0.25
     prune_mode: str = "irregular"
@@ -106,10 +104,7 @@ class TrainConfig:
         self.lr_drops = tuple(int(e) for e in self.lr_drops)
         if any(e < 0 for e in self.lr_drops):
             raise ConfigError(f"config field lr_drops must hold epochs >= 0, got {list(self.lr_drops)}")
-        self.distill_config()  # range checks for the distillation fields
-
-    def distill_config(self) -> DistillConfig:
-        return DistillConfig(**{f.name: getattr(self, f.name) for f in fields(DistillConfig)})
+        super().__post_init__()  # range checks for the distillation fields
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -69,7 +69,7 @@ def at_loss(taps_s, taps_t, p: float = 2.0) -> Tensor:
     total = None
     for a_s, a_t in zip(taps_s, taps_t):
         psi_s = attention_map(a_s, p)
-        psi_t = attention_map(a_t.detach() if isinstance(a_t, Tensor) else a_t, p)
+        psi_t = attention_map(a_t.detach(), p)
         if psi_s.shape != psi_t.shape:
             raise ContractError(f"flattened map shapes differ: {psi_s.shape} vs {psi_t.shape}")
         diff = _unit_rows(psi_s) - _unit_rows(psi_t)

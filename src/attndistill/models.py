@@ -17,9 +17,12 @@ excluded; this convention is applied to teachers and students alike. Given
 masks, the counter charges a masked weight's multiplies at its nonzero
 entries only.
 
-While a column-mode student is evaluated, `sparse.compacted` fills the
-`live` of each conv and attention layer with a dead weight column with
-the live columns and the weight matrix on them; the forward passes them on.
+Each layer is one object holding its own weights (`Conv2d`,
+`attention.SelfAttention`, `BatchNorm`, `Linear`), and each layer class
+names its prunable weights in `PRUNABLE`. While a column-mode student is
+evaluated, `sparse.compacted` fills the `live` of each conv and attention
+layer with a dead weight column with the live columns and the weight
+matrix on them; the forward passes them on.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import POS_SCALES, init_attention_params, local_self_attention
+from .attention import POS_SCALES, SelfAttention
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
 
@@ -113,9 +116,10 @@ def spec_by_name(depth: str, role: str, variant: str, classes: int, extent: int,
 
 class Conv2d:
     spatial_kind = "conv"
+    PRUNABLE = ("w",)
 
     def __init__(self, cin, cout, k, stride, h, rng):
-        self.cin, self.cout, self.k, self.stride, self.h_out = cin, cout, k, stride, h // stride
+        self.k, self.stride, self.h_out = k, stride, h // stride
         std = np.sqrt(2.0 / (cin * k * k))
         self.w = Tensor((rng.standard_normal((cout, cin, k, k)) * std).astype(T.default_dtype()),
                         requires_grad=True)
@@ -132,28 +136,9 @@ class Conv2d:
         return 2 * self.h_out * self.h_out * (nonzero or {}).get("w", self.w.size)
 
 
-class SelfAttention:
-    spatial_kind = "attention"
-
-    def __init__(self, cin, cout, extent, heads, stride, h, rng, pos_scale):
-        self.p = init_attention_params(cin, cout, heads, extent, rng, stride, pos_scale)
-        self.cin, self.cout, self.k, self.h_in = cin, cout, extent, h
-        self.live = {}
-
-    def forward(self, x):
-        live = tuple(self.live[n] for n in ("w_q", "w_k", "w_v")) if self.live else None
-        return local_self_attention(x, self.p, live=live)
-
-    def params(self):
-        return self.p.tensors()
-
-    def flops(self, nonzero=None):
-        hw = self.h_in * self.h_in  # logits and mixing run at input resolution
-        proj = sum((nonzero or {}).get(n, self.cin * self.cout) for n in ("w_q", "w_k", "w_v"))
-        return 2 * proj * hw + 3 * (2 * self.k * self.k * self.cout * hw)
-
-
 class BatchNorm:
+    PRUNABLE = ()
+
     def __init__(self, c):
         dt = T.default_dtype()
         self.gamma = Tensor(np.ones(c, dtype=dt), requires_grad=True)
@@ -172,10 +157,11 @@ class BatchNorm:
 
 
 class Linear:
+    PRUNABLE = ()  # the classifier stays dense
+
     def __init__(self, cin, cout, rng):
         dt = T.default_dtype()
         bound = 1.0 / np.sqrt(cin)
-        self.cin, self.cout = cin, cout
         self.w = Tensor(rng.uniform(-bound, bound, (cin, cout)).astype(dt), requires_grad=True)
         self.b = Tensor(np.zeros(cout, dtype=dt), requires_grad=True)
 
@@ -186,13 +172,13 @@ class Linear:
         return {"w": self.w, "b": self.b}
 
     def flops(self, nonzero=None):
-        return 2 * self.cin * self.cout
+        return 2 * self.w.size
 
 
 def _spatial_layer(spec, cin, cout, stride, h, rng):
     if spec.variant == "conv":
         return Conv2d(cin, cout, 3, stride, h, rng)
-    return SelfAttention(cin, cout, spec.extent, spec.heads, stride, h, rng, spec.pos_scale)
+    return SelfAttention(cin, cout, spec.heads, spec.extent, rng, stride, spec.pos_scale, h)
 
 
 class Bottleneck:
@@ -236,7 +222,7 @@ class Model:
         self.spec = spec
         cin, h = spec.stem_out, spec.input_hw
         if spec.variant == "homogeneous":
-            self.stem = SelfAttention(3, cin, spec.extent, spec.heads, 1, h, rng, spec.pos_scale)
+            self.stem = SelfAttention(3, cin, spec.heads, spec.extent, rng, 1, spec.pos_scale, h)
         else:
             self.stem = Conv2d(3, cin, 3, 1, h, rng)
         self.stem_bn = BatchNorm(cin)
@@ -290,28 +276,17 @@ class Model:
         return out
 
     def prunable(self, include_stem: bool = True) -> dict:
-        """Conv kernels and attention projections, in network order.
+        """Every layer's `PRUNABLE` weights (conv kernels and attention
+        projections), in network order.
 
         Relative-position tables, norm parameters, biases, and the
         classifier stay dense.
         """
-        out = {}
-        for prefix, layer in self.named_layers():
-            if prefix == "fc" or isinstance(layer, BatchNorm):
-                continue
-            if prefix == "stem" and not include_stem:
-                continue
-            if isinstance(layer, Conv2d):
-                out[f"{prefix}.w"] = layer.w
-            elif isinstance(layer, SelfAttention):
-                for nm in ("w_q", "w_k", "w_v"):
-                    out[f"{prefix}.{nm}"] = getattr(layer.p, nm)
-        return out
+        return {f"{prefix}.{n}": getattr(layer, n) for prefix, layer in self.named_layers()
+                if include_stem or prefix != "stem" for n in layer.PRUNABLE}
 
 
 def build_model(spec: ModelSpec, rng) -> Model:
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     return Model(spec, rng)
 
 

@@ -326,7 +326,8 @@ def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfi
         opt.step()
         if state is not None:
             S.apply_mask(state, model)
-            state.accumulate_momentum(opt)
+            if epoch < cfg.epochs - 1:  # only a boundary reads the momentum statistics
+                state.accumulate_momentum(opt)
         # the logged total recombines the logged components in float64,
         # so it does not carry the float32 rounding of `loss`
         ce_v, kd_v, at_v = (0.0 if v is None else v.item() for v in (ce, kd, at))
@@ -355,8 +356,6 @@ def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfi
             state.p_e = S.decay_prune_rate(cfg.prune_rate0, epoch, cfg.epochs)
             boundary = S.prune_regrow_epoch if state.mode == "irregular" else S.column_prune_regrow_epoch
             boundary(state, model, opt)
-        elif state is not None:
-            state.finalize_epoch_momentum()
         density, global_density, layer_d = _density_metrics(model, state)
         wall = 0.0 if cfg.deterministic else time.monotonic() - t0
         mean = {k: v / batches_seen for k, v in sums.items()}
@@ -460,7 +459,7 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None)
                             include_stem=cfg.stem_prunable)
         S.audit_coverage(state, student)
         S.apply_mask(state, student)
-    return _fit(cfg, "student", student, opt, cfg.distill_config(), train_ds, test_ds,
+    return _fit(cfg, "student", student, opt, cfg, train_ds, test_ds,
                 teacher=teacher, state=state, start_epoch=start_epoch, stop_after=stop_after)
 
 

@@ -3,11 +3,12 @@ import pytest
 
 import attndistill.tensor as T
 from attndistill.attention import (
-    AttentionLayerParams,
+    SelfAttention,
     init_attention_params,
     local_self_attention,
 )
 from attndistill.errors import ConfigError, ContractError, ShapeError
+from attndistill.models import Conv2d
 from attndistill.tensor import Tensor, grad_check, precision
 
 
@@ -197,16 +198,17 @@ def test_head_isolation():
 
 
 def test_projection_count_independent_of_extent():
-    proj = lambda k: 3 * 64 * 64
-    assert proj(3) == proj(7)
-    # and the conv equivalent grows with k^2
-    conv_params = lambda k: k * k * 64 * 64
-    assert conv_params(3) == 36864 > proj(3) == 12288
+    rng = np.random.default_rng(7)
+    for k in (3, 7):
+        layer = init_attention_params(64, 64, 8, k, rng)
+        assert sum(layer.params()[n].size for n in layer.PRUNABLE) == 3 * 64 * 64 == 12288
+        # and the conv equivalent grows with k^2
+        assert Conv2d(64, 64, k, 1, 8, rng).w.size == k * k * 64 * 64
 
 
 def test_head_divisibility_config_error():
     with pytest.raises(ConfigError):
-        AttentionLayerParams(4, 6, 4, 3)
+        SelfAttention(4, 6, 4, 3, np.random.default_rng(0))
 
 
 def test_channel_mismatch_shape_error():
@@ -220,8 +222,8 @@ def test_pos_scale_switch_changes_output():
     rng = np.random.default_rng(9)
     x = np.random.default_rng(10).standard_normal((1, 3, 4, 4)).astype(np.float32)
     p1 = init_attention_params(3, 4, 2, 3, rng, pos_scale="fourth-root")
-    p2 = AttentionLayerParams(3, 4, 2, 3, pos_scale="sqrt",
-                              w_q=p1.w_q, w_k=p1.w_k, w_v=p1.w_v, rel_pos=p1.rel_pos)
+    p2 = init_attention_params(3, 4, 2, 3, rng, pos_scale="sqrt")
+    p2.w_q, p2.w_k, p2.w_v, p2.rel_pos = p1.w_q, p1.w_k, p1.w_v, p1.rel_pos
     y1 = local_self_attention(Tensor(x), p1).data
     y2 = local_self_attention(Tensor(x), p2).data
     assert not np.allclose(y1, y2)
@@ -230,8 +232,8 @@ def test_pos_scale_switch_changes_output():
 def test_stride2_pools_after_attention():
     rng = np.random.default_rng(11)
     p1 = init_attention_params(3, 4, 2, 3, rng, stride=1)
-    p2 = AttentionLayerParams(3, 4, 2, 3, stride=2,
-                              w_q=p1.w_q, w_k=p1.w_k, w_v=p1.w_v, rel_pos=p1.rel_pos)
+    p2 = init_attention_params(3, 4, 2, 3, rng, stride=2)
+    p2.w_q, p2.w_k, p2.w_v, p2.rel_pos = p1.w_q, p1.w_k, p1.w_v, p1.rel_pos
     x = Tensor(np.random.default_rng(12).standard_normal((1, 3, 4, 4)).astype(np.float32))
     full = local_self_attention(x, p1)
     halved = local_self_attention(x, p2)

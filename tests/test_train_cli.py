@@ -806,6 +806,6 @@ def test_artifact_digest_script_prints_every_artifact():
         "teacher50/teacher.atlt", "toy-distill/distill_metrics.csv", "toy-distill/student.atlt",
         "toy-distill/student_last.atlt", "toy-homogeneous/distill_metrics.csv",
         "toy-homogeneous/student.atlt", "toy-homogeneous/student_last.atlt",
-        "toy-teacher/teacher.atlt", "toy-teacher/teacher_metrics.csv",
+        "toy-teacher/teacher.atlt", "toy-teacher/teacher_metrics.csv", "model-structure",
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest, _ in digests)
