@@ -59,7 +59,8 @@ def load_cifar_binary(path, classes: int) -> Dataset:
     rec = np.frombuffer(buf, dtype=np.uint8).reshape(-1, RECORD_BYTES)
     labels = rec[:, 0].astype(np.int64)
     if labels.max(initial=0) >= classes:
-        raise FormatError(f"label {labels.max()} out of range for {classes} classes")
+        i = int(np.argmax(labels >= classes))  # the first bad record
+        raise FormatError(f"record {i} of {path} has label {labels[i]}, out of range for {classes} classes")
     raw = rec[:, 1:].reshape(-1, 3, IMAGE_HW, IMAGE_HW).astype(np.float32) / 255.0
     return Dataset(_normalize(raw, "cifar100" if classes == 100 else "cifar10"), labels, classes)
 

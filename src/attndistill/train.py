@@ -287,22 +287,25 @@ def _keep_freed_heap():
     mallopt(_M_ARENA_MAX, 1)
 
 
-def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfig,
-         train_ds, test_ds, teacher: Model | None = None, state: S.SparseState | None = None,
-         start_epoch: int = 0, stop_after: int | None = None):
+def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: Model | None = None,
+         state: S.SparseState | None = None, start_epoch: int = 0):
     """Train `model` from `start_epoch`; returns (checkpoint path, RunMetrics).
 
-    The frozen `teacher` runs only when the loss reads it. A sparse `state`
-    re-applies its mask after every step, prunes and regrows at every
-    epoch boundary and saves the rolling `<kind>_last.atlt` each epoch,
-    which `stop_after` returns once that many epochs have completed.
+    With a frozen `teacher` the loss is `cfg`'s, else plain cross-entropy;
+    the teacher runs only when the loss reads it. A sparse `state` re-applies
+    its mask after every step. While an epoch follows, it prunes and regrows
+    at the boundary and saves the rolling `<kind>_last.atlt` with the
+    velocities a resume reads; the final `<kind>.atlt` holds none. A resume
+    into its run's own `out_dir` keeps the rows of the epochs before it.
 
     A step's autodiff graph lives only in `step`'s locals: backward frees
     most of it node by node, and the rest (logits, taps, loss terms) goes
     when `step` returns, so no two steps' graphs coexist. The freed heap is
     kept for the next step (`_keep_freed_heap`).
     """
+    kind = model.spec.role
     label, phase = _RUNS[kind]
+    dcfg = cfg if teacher is not None else _CE_ONLY
     need_teacher = teacher is not None and (dcfg.alpha < 1.0 or dcfg.beta > 0.0)
     pairs = tap_pairs(model.spec, teacher.spec) if need_teacher else []
     _keep_freed_heap()
@@ -337,7 +340,9 @@ def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfi
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics = RunMetrics(layer_names=state.layer_names if state else ())
     metrics_path = os.path.join(cfg.out_dir, f"{label}_metrics.csv")
-    last_path = os.path.join(cfg.out_dir, f"{kind}_last.atlt")
+    if start_epoch > 0 and os.path.exists(metrics_path):  # keep this run's rows from before the resume
+        metrics.rows = [r for r in RunMetrics.read(metrics_path)
+                        if tuple(r) == metrics.columns and r["epoch"] < start_epoch]
     acc = 0.0
     for epoch in range(start_epoch, cfg.epochs):
         opt.lr = lr_at(cfg, epoch)
@@ -364,19 +369,14 @@ def _fit(cfg: TrainConfig, kind: str, model: Model, opt: SGD, dcfg: DistillConfi
                         global_density=global_density, wall_time=wall,
                         **{f"d:{n}": d for n, d in layer_d.items()})
         metrics.write(metrics_path)
-        if state is not None:
-            save_model_checkpoint(last_path, model, cfg, kind, epoch + 1, phases=[phase],
-                                  state=state, optimizer=opt)
+        if state is not None and epoch < cfg.epochs - 1:
+            save_model_checkpoint(os.path.join(cfg.out_dir, f"{kind}_last.atlt"), model, cfg, kind,
+                                  epoch + 1, phases=[phase], state=state, optimizer=opt)
         print(f"[{label}] epoch {epoch + 1}/{cfg.epochs} loss {mean['total']:.4f} "
               f"acc {acc:.4f} density {density:.4f}")
-        if stop_after is not None and epoch + 1 >= stop_after:
-            return last_path, metrics
-    ckpt = os.path.join(cfg.out_dir, f"{kind}.atlt")
-    # only sparse runs resume, so only they store the optimizer state
-    save_model_checkpoint(ckpt, model, cfg, kind, cfg.epochs, phases=[phase],
-                          extra={"final_acc": acc}, state=state,
-                          optimizer=opt if state is not None else None)
-    return ckpt, metrics
+    final = os.path.join(cfg.out_dir, f"{kind}.atlt")
+    return save_model_checkpoint(final, model, cfg, kind, cfg.epochs, phases=[phase],
+                                 extra={"final_acc": acc}, state=state), metrics
 
 
 # --- training entry points ---
@@ -389,7 +389,7 @@ def train_teacher(cfg: TrainConfig):
     spec = spec_by_name(cfg.depth, "teacher", "conv", cfg.classes, cfg.extent, cfg.heads)
     model = build_model(spec, np.random.default_rng([cfg.seed, 1]))
     opt = SGD(model.named_params(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    return _fit(cfg, "teacher", model, opt, _CE_ONLY, train_ds, test_ds)
+    return _fit(cfg, model, opt, train_ds, test_ds)
 
 
 def _check_tap_compatibility(teacher_spec: ModelSpec, student_spec: ModelSpec):
@@ -425,15 +425,13 @@ def _resume_epoch(manifest: dict, cfg: TrainConfig, path) -> int:
     return epoch
 
 
-def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None):
+def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None):
     """Single-pass sparse distillation of a student against a frozen
     teacher: the epoch loop with both. Returns (checkpoint path, RunMetrics).
 
-    `resume` continues from a rolling per-epoch checkpoint of the same run
-    (the config may differ only in `out_dir`, `data_dir` and
-    `deterministic`); `stop_after` interrupts the run once that many
-    epochs have completed (the rolling checkpoint then resumes it), which
-    is how resumability is exercised.
+    `resume` continues from the rolling `student_last.atlt` of the same
+    run (the config may differ only in `out_dir`, `data_dir` and
+    `deterministic`), written after every epoch but the last.
     """
     train_ds, test_ds = load_datasets(cfg)
     teacher, t_manifest, _, _ = model_from_checkpoint(teacher_ckpt)
@@ -459,8 +457,7 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None, stop_after=None)
                             include_stem=cfg.stem_prunable)
         S.audit_coverage(state, student)
         S.apply_mask(state, student)
-    return _fit(cfg, "student", student, opt, cfg, train_ds, test_ds,
-                teacher=teacher, state=state, start_epoch=start_epoch, stop_after=stop_after)
+    return _fit(cfg, student, opt, train_ds, test_ds, teacher=teacher, state=state, start_epoch=start_epoch)
 
 
 # --- accounting report ---

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,9 +91,10 @@ def test_loader_truncated_record_reports_offset(tmp_path):
 def test_loader_rejects_out_of_range_label(tmp_path):
     imgs, labels = _random_raw(4, seed=4)
     labels[2] = 11
+    labels[3] = 12
     path = tmp_path / "batch.bin"
     write_cifar_binary(path, imgs, labels)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=f"record 2 of {re.escape(str(path))} has label 11"):
         load_cifar_binary(path, classes=10)
 
 

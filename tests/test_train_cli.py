@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from attndistill import train as TR
 from attndistill.checkpoint import load_checkpoint, save_checkpoint
 from attndistill.cli import _config_from_args, build_parser
 from attndistill.cli import main as cli_main
@@ -116,6 +118,28 @@ def test_deterministic_runs_byte_identical(tmp_path, tiny_teacher, prune_mode):
         assert (tmp_path / "run" / name).read_bytes() == blob, name
 
 
+class _Crash(Exception):
+    """A run stopped right after a checkpoint save."""
+
+
+def _interrupted(cfg, teacher_ckpt, epochs):
+    """Run `sparse_distill(cfg)` until the save that records `epochs`
+    completed epochs, crash right after it, and return the rolling path."""
+    save = TR.save_model_checkpoint
+
+    def save_then_crash(path, model, run_cfg, kind, epoch, *args, **kwargs):
+        out = save(path, model, run_cfg, kind, epoch, *args, **kwargs)
+        if epoch == epochs:
+            raise _Crash
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TR, "save_model_checkpoint", save_then_crash)
+        with pytest.raises(_Crash):
+            sparse_distill(cfg, teacher_ckpt)
+    return os.path.join(cfg.out_dir, "student_last.atlt")
+
+
 def test_resume_reproduces_uninterrupted_rows(tmp_path, tiny_teacher):
     for mode in ("irregular", "column"):
         run = dict(epochs=4, lr=0.01, lr_drops=(), variant="hybrid", alpha=0.1, beta=10.0,
@@ -125,10 +149,13 @@ def test_resume_reproduces_uninterrupted_rows(tmp_path, tiny_teacher):
 
         # the same 4-epoch run, interrupted after 2 completed epochs
         part_cfg = tiny_config(tmp_path / mode / "part", **run)
-        sparse_distill(part_cfg, tiny_teacher["ckpt"], stop_after=2)
+        last = _interrupted(part_cfg, tiny_teacher["ckpt"], 2)
+        if mode == "irregular":  # a CSV of another layout in the new directory is not the run's
+            os.makedirs(tmp_path / mode / "resumed")
+            shutil.copy(os.path.join(tiny_teacher["cfg"].out_dir, "teacher_metrics.csv"),
+                        tmp_path / mode / "resumed" / "distill_metrics.csv")
         resumed_ckpt, resumed = sparse_distill(tiny_config(tmp_path / mode / "resumed", **run),
-                                               tiny_teacher["ckpt"],
-                                               resume=os.path.join(part_cfg.out_dir, "student_last.atlt"))
+                                               tiny_teacher["ckpt"], resume=last)
         assert [int(r["epoch"]) for r in resumed.rows] == [2, 3]
         target = {int(r["epoch"]): r for r in full_metrics.rows}
         for row in resumed.rows:
@@ -144,6 +171,11 @@ def test_resume_reproduces_uninterrupted_rows(tmp_path, tiny_teacher):
             assert list(mine) == list(theirs), mode
             for name, arr in mine.items():
                 assert arr.shape == theirs[name].shape and arr.tobytes() == theirs[name].tobytes(), (mode, name)
+
+        # resumed in its own directory, the run keeps its first rows: the CSV is the uninterrupted one
+        sparse_distill(part_cfg, tiny_teacher["ckpt"], resume=last)
+        csv = "distill_metrics.csv"
+        assert (tmp_path / mode / "part" / csv).read_bytes() == (tmp_path / mode / "full" / csv).read_bytes(), mode
 
 
 def test_no_step_graph_outlives_its_step(tmp_path, tiny_teacher, monkeypatch):
@@ -201,8 +233,7 @@ RESUMED_RUN = dict(epochs=2, lr=0.01, lr_drops=(), variant="hybrid", alpha=0.1, 
 @pytest.fixture(scope="module")
 def interrupted_run(tmp_path_factory, tiny_teacher):
     out = tmp_path_factory.mktemp("interrupted")
-    sparse_distill(tiny_config(out, **RESUMED_RUN), tiny_teacher["ckpt"], stop_after=1)
-    return str(out / "student_last.atlt")
+    return _interrupted(tiny_config(out, **RESUMED_RUN), tiny_teacher["ckpt"], 1)
 
 
 @pytest.mark.parametrize("field,value", [("seed", 8), ("density", 0.9), ("epochs", 3), ("alpha", 0.5)])
@@ -234,8 +265,27 @@ def test_resume_refuses_a_finished_run(tmp_path, tiny_teacher):
     sparse_distill(cfg, tiny_teacher["ckpt"])
     final = (tmp_path / "student.atlt").read_bytes()
     with pytest.raises(ConfigError, match="finished"):
-        sparse_distill(cfg, tiny_teacher["ckpt"], resume=str(tmp_path / "student_last.atlt"))
+        sparse_distill(cfg, tiny_teacher["ckpt"], resume=str(tmp_path / "student.atlt"))
     assert (tmp_path / "student.atlt").read_bytes() == final
+
+
+def test_each_checkpoint_is_written_for_its_reader(tmp_path, tiny_teacher, monkeypatch):
+    """The rolling file only while an epoch follows, the final file last and
+    without velocities, since nothing trains on from a finished run."""
+    save, saves = TR.save_model_checkpoint, []
+
+    def record(path, model, cfg, kind, epoch, *args, **kwargs):
+        saves.append((os.path.basename(path), epoch))
+        return save(path, model, cfg, kind, epoch, *args, **kwargs)
+
+    monkeypatch.setattr(TR, "save_model_checkpoint", record)
+    ckpt, _ = sparse_distill(tiny_config(tmp_path / "three", **dict(RESUMED_RUN, epochs=3)), tiny_teacher["ckpt"])
+    assert saves == [("student_last.atlt", 1), ("student_last.atlt", 2), ("student.atlt", 3)]
+    assert ckpt == str(tmp_path / "three" / "student.atlt")
+    _, arrays, _ = load_checkpoint(ckpt)
+    assert arrays and not [k for k in arrays if k.startswith("opt.")]
+    sparse_distill(tiny_config(tmp_path / "one", **dict(RESUMED_RUN, epochs=1)), tiny_teacher["ckpt"])
+    assert sorted(os.listdir(tmp_path / "one")) == ["distill_metrics.csv", "student.atlt"]
 
 
 @pytest.mark.parametrize("epoch", [-1, True])
