@@ -2,9 +2,12 @@
 
 All networks share the small-image layout: a 3x3 stride-1 stem, three or
 four bottleneck stages (stride 2 from the second stage on), global average
-pooling, and a linear classifier. Activation taps are captured after the
-final ReLU of every residual block. Student variants differ in where
-spatial convolutions are replaced by local self-attention:
+pooling, and a linear classifier. A model's activation taps are its stage
+outputs: the final ReLU of each stage's last residual block, where
+attention transfer compares teacher and student. A preset depth builds one
+role (teacher50 a teacher, student26 and student38 students); toy builds
+both. Student variants differ in where spatial convolutions are replaced
+by local self-attention:
 
   conv         every spatial layer is a convolution (teacher layout)
   hybrid       convolutional stem, self-attention everywhere else
@@ -105,10 +108,14 @@ def spec_by_name(depth: str, role: str, variant: str, classes: int, extent: int,
     if depth == "toy":
         return toy_spec(role, variant, classes, extent, heads, pos_scale)
     if depth == "teacher50":
-        return teacher50_spec(classes)
-    if depth in ("student26", "student38"):
-        return student_spec(depth, variant, classes, extent, heads, pos_scale)
-    raise ConfigError(f"unknown depth class {depth!r}")
+        spec = teacher50_spec(classes)
+    elif depth in ("student26", "student38"):
+        spec = student_spec(depth, variant, classes, extent, heads, pos_scale)
+    else:
+        raise ConfigError(f"unknown depth class {depth!r}")
+    if spec.role != role:
+        raise ConfigError(f"depth {depth} builds a {spec.role}, not a {role}")
+    return spec
 
 
 # --- layers ---
@@ -201,7 +208,8 @@ class Bottleneck:
 
     def forward(self, x, training):
         # with no graph recorded, BN, ReLU and the add write into the arrays
-        # this block's layers made; x is the shortcut and a tap, never written
+        # this block's layers made; x is the shortcut, and may be a stage's
+        # tap, so it is never written
         h = T.relu(self.bn1.forward(self.conv1.forward(x), training, overwrite=True), overwrite=True)
         h = T.relu(self.bn2.forward(self.spatial.forward(h), training, overwrite=True), overwrite=True)
         h = self.bn3.forward(self.conv3.forward(h), training, overwrite=True)
@@ -237,7 +245,10 @@ class Model:
         self.fc = Linear(cin, spec.classes, rng)
 
     def forward_with_taps(self, x: Tensor, training: bool = False):
-        """Run the network, returning (logits, every block's output in network order)."""
+        """Run the network, returning (logits, each stage's output in network order).
+
+        With no graph recorded, a block's output is freed once the next
+        block has read it, unless it ends its stage."""
         if x.ndim != 4 or x.shape[1] != 3 or x.shape[2] != self.spec.input_hw:
             raise ShapeError(f"expected (B, 3, {self.spec.input_hw}, {self.spec.input_hw}), got {x.shape}")
         h = T.relu(self.stem_bn.forward(self.stem.forward(x), training, overwrite=True), overwrite=True)
@@ -245,7 +256,7 @@ class Model:
         for blocks in self.stages:
             for blk in blocks:
                 h = blk.forward(h, training)
-                taps.append(h)
+            taps.append(h)
         pooled = T.global_avg_pool(h)
         return self.fc.forward(pooled), taps
 
@@ -288,23 +299,6 @@ class Model:
 
 def build_model(spec: ModelSpec, rng) -> Model:
     return Model(spec, rng)
-
-
-def tap_pairs(student_spec: ModelSpec, teacher_spec: ModelSpec) -> list:
-    """(student, teacher) indices into the flat `forward_with_taps` tap
-    lists, stage by stage: block for block when a stage's block counts are
-    equal, otherwise only the stage-final taps, which guarantees compatible
-    spatial sizes."""
-    if len(student_spec.blocks) != len(teacher_spec.blocks):
-        raise ConfigError("teacher and student stage counts differ; taps cannot pair")
-    pairs, i, j = [], 0, 0
-    for ns, nt in zip(student_spec.blocks, teacher_spec.blocks):
-        if ns == nt:
-            pairs += [(i + b, j + b) for b in range(ns)]
-        else:
-            pairs.append((i + ns - 1, j + nt - 1))
-        i, j = i + ns, j + nt
-    return pairs
 
 
 def count_params(model: Model, masks: dict | None = None):

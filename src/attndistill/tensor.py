@@ -323,19 +323,10 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(np.asarray(data), (a,), bw)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.size if axis is None else np.prod(
-        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    inv = a.data.dtype.type(1.0 / count)
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g * inv, a.shape).copy(),)
-
-    return _record(np.asarray(data), (a,), bw)
+def tmean(a: Tensor) -> Tensor:
+    """The mean of every entry, as a 0-d tensor."""
+    inv = a.data.dtype.type(1.0 / a.size)
+    return _record(np.asarray(a.data.mean()), (a,), lambda g: (np.broadcast_to(g * inv, a.shape).copy(),))
 
 
 # --- shape ---

@@ -40,7 +40,6 @@ from .models import (
     count_flops,
     count_params,
     spec_by_name,
-    tap_pairs,
 )
 from .optim import SGD
 from .tensor import no_grad
@@ -93,9 +92,11 @@ class RunMetrics:
         with open(path) as f:
             header = f.readline().strip().split(",")
             rows = []
-            for line in f:
-                vals = line.strip().split(",")
-                rows.append({c: float(v) for c, v in zip(header, vals)})
+            for n, line in enumerate(f, 2):
+                try:
+                    rows.append({c: float(v) for c, v in zip(header, line.strip().split(","))})
+                except ValueError as e:
+                    raise FormatError(f"metrics file {path} line {n}: {e}") from e
         return rows
 
 
@@ -223,13 +224,24 @@ def model_from_checkpoint(path):
     return model, manifest, masks, _restore(path, model, manifest, arrays, masks)
 
 
+def _model_of_role(path, role: str, flag: str):
+    """`model_from_checkpoint` of the checkpoint passed as `flag`, which must hold a `role`."""
+    loaded = model_from_checkpoint(path)
+    if loaded[0].spec.role != role:
+        raise ConfigError(f"{flag} checkpoint {path} is a {loaded[0].spec.role!r} checkpoint, not a {role}")
+    return loaded
+
+
 # --- evaluation ---
 
 
 def evaluate_model(model: Model, dataset: D.Dataset, batch_size: int = 100,
                    state: S.SparseState | None = None) -> float:
     """Top-1 accuracy with eval-mode normalization statistics. A column-mode
-    `state`'s masked weights multiply only their live columns (`S.compacted`)."""
+    `state`'s masked weights multiply only their live columns (`S.compacted`).
+    Refuses a dataset whose class count is not the model's."""
+    if dataset.classes != model.spec.classes:
+        raise ConfigError(f"dataset has {dataset.classes} classes, the model {model.spec.classes}")
     correct = 0
     with no_grad(), S.compacted(state, model):
         for xb, yb in D.batches(dataset, batch_size, seed=0, epoch=0, train=False):
@@ -307,7 +319,6 @@ def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: M
     label, phase = _RUNS[kind]
     dcfg = cfg if teacher is not None else _CE_ONLY
     need_teacher = teacher is not None and (dcfg.alpha < 1.0 or dcfg.beta > 0.0)
-    pairs = tap_pairs(model.spec, teacher.spec) if need_teacher else []
     _keep_freed_heap()
 
     def step(xb, yb, epoch, t):
@@ -316,10 +327,8 @@ def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: M
         if need_teacher:
             with no_grad():
                 logits_t, taps_t = teacher.forward_with_taps(xb, training=False)
-            # the unpaired taps are freed before the student's graph is built
-            taps_t = [taps_t[j] for _, j in pairs]
         logits, taps = model.forward_with_taps(xb, training=True)
-        ce, kd, at = loss_terms(yb, logits, logits_t, [taps[i] for i, _ in pairs], taps_t, dcfg)
+        ce, kd, at = loss_terms(yb, logits, logits_t, taps, taps_t, dcfg)
         loss = combine_terms(ce, kd, at, dcfg)
         value = loss.item()
         if not math.isfinite(value):
@@ -385,15 +394,16 @@ def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: M
 def train_teacher(cfg: TrainConfig):
     """Cross-entropy training of the convolutional teacher: the epoch loop
     with no teacher and no masks. Returns (checkpoint path, RunMetrics)."""
-    train_ds, test_ds = load_datasets(cfg)
     spec = spec_by_name(cfg.depth, "teacher", "conv", cfg.classes, cfg.extent, cfg.heads)
+    train_ds, test_ds = load_datasets(cfg)
     model = build_model(spec, np.random.default_rng([cfg.seed, 1]))
     opt = SGD(model.named_params(), cfg.lr, cfg.momentum, cfg.weight_decay)
     return _fit(cfg, model, opt, train_ds, test_ds)
 
 
 def _check_tap_compatibility(teacher_spec: ModelSpec, student_spec: ModelSpec):
-    tap_pairs(student_spec, teacher_spec)  # raises when the stage counts differ
+    if len(teacher_spec.blocks) != len(student_spec.blocks):
+        raise ConfigError("teacher and student stage counts differ; taps cannot pair")
     if teacher_spec.input_hw != student_spec.input_hw:
         raise ConfigError("teacher and student input resolutions differ")
     if teacher_spec.classes != student_spec.classes:
@@ -433,13 +443,10 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None):
     run (the config may differ only in `out_dir`, `data_dir` and
     `deterministic`), written after every epoch but the last.
     """
-    train_ds, test_ds = load_datasets(cfg)
-    teacher, t_manifest, _, _ = model_from_checkpoint(teacher_ckpt)
-    if t_manifest.get("kind") != "teacher":
-        raise ConfigError(f"--teacher checkpoint {teacher_ckpt} is a {t_manifest.get('kind')!r} "
-                          "checkpoint, not a teacher")
     student_spec = spec_by_name(cfg.depth, "student", cfg.variant, cfg.classes,
                                 cfg.extent, cfg.heads, cfg.pos_scale)
+    train_ds, test_ds = load_datasets(cfg)
+    teacher = _model_of_role(teacher_ckpt, "teacher", "--teacher")[0]
     _check_tap_compatibility(teacher.spec, student_spec)
     start_epoch, loaded = 0, None
     if resume is not None:
@@ -465,8 +472,8 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None):
 
 def report(teacher_ckpt, student_ckpt) -> dict:
     """Parameter and FLOP accounting for a (teacher, student) pair."""
-    teacher, _, t_masks, _ = model_from_checkpoint(teacher_ckpt)
-    student, _, s_masks, _ = model_from_checkpoint(student_ckpt)
+    teacher, _, t_masks, _ = _model_of_role(teacher_ckpt, "teacher", "--teacher")
+    student, _, s_masks, _ = _model_of_role(student_ckpt, "student", "--student")
     t_total, t_nonzero = count_params(teacher, t_masks or None)
     s_total, s_nonzero = count_params(student, s_masks or None)
     t_flops, s_flops = count_flops(teacher), count_flops(student)

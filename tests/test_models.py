@@ -1,10 +1,13 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from attndistill.errors import ConfigError, ContractError, ShapeError
 from attndistill.models import (
+    Bottleneck,
     Conv2d,
     ModelSpec,
     build_model,
@@ -12,7 +15,6 @@ from attndistill.models import (
     count_params,
     spec_by_name,
     student_spec,
-    tap_pairs,
     teacher50_spec,
     toy_spec,
 )
@@ -30,10 +32,44 @@ def test_toy_teacher_and_student_tap_shapes_align():
     x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 32, 32)).astype(np.float32))
     _, tt = teacher.forward_with_taps(x)
     _, ts = student.forward_with_taps(x)
-    pairs = tap_pairs(student.spec, teacher.spec)
-    assert len(pairs) == 3  # one per stage (block counts differ)
-    for i, j in pairs:
-        assert ts[i].shape == tt[j].shape
+    assert len(ts) == len(tt) == 3  # one per stage
+    for a, b in zip(ts, tt):
+        assert a.shape == b.shape
+
+
+def test_teacher50_and_student26_stage_taps_align():
+    teacher = build_model(teacher50_spec(), np.random.default_rng(0))
+    student = build_model(student_spec("student26"), np.random.default_rng(1))
+    x = Tensor(np.random.default_rng(2).standard_normal((1, 3, 32, 32)).astype(np.float32))
+    with no_grad():
+        _, tt = teacher.forward_with_taps(x)
+        _, ts = student.forward_with_taps(x)
+    assert len(ts) == len(tt) == 4
+    assert [a.shape[2:] for a in ts] == [b.shape[2:] for b in tt] == [(32, 32), (16, 16), (8, 8), (4, 4)]
+
+
+def test_a_graphless_forward_keeps_only_the_stage_taps(monkeypatch):
+    """With no graph recorded, every block output but a stage's last is
+    freed by refcounting alone once the next block has read it."""
+    teacher, _ = _toy_pair()
+    outputs, forward = [], Bottleneck.forward
+
+    def spy(blk, *args, **kwargs):
+        out = forward(blk, *args, **kwargs)
+        outputs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(Bottleneck, "forward", spy)
+    x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 32, 32)).astype(np.float32))
+    gc.disable()  # refcounting alone must free them
+    try:
+        with no_grad():
+            _, taps = teacher.forward_with_taps(x)
+    finally:
+        gc.enable()
+    alive = [ref() for ref in outputs if ref() is not None]
+    assert len(outputs) == sum(teacher.spec.blocks) == 6
+    assert len(alive) == len(taps) == 3 and all(a is t for a, t in zip(alive, taps))
 
 
 def _spatial_convs(model):
@@ -55,7 +91,7 @@ def test_forward_tap_count_and_logits_shape():
     x = Tensor(np.random.default_rng(5).standard_normal((2, 3, 32, 32)).astype(np.float32))
     logits, taps = m.forward_with_taps(x)
     assert logits.shape == (2, 10)
-    assert len(taps) == sum(m.spec.blocks)
+    assert len(taps) == len(m.spec.blocks)
 
 
 def test_forward_deterministic():
@@ -230,17 +266,6 @@ def test_spec_refuses_a_count_that_is_not_a_positive_integer(change, named):
     with pytest.raises(ConfigError, match=rf"field {re.escape(named)} must be an integer >= "):
         ModelSpec(**dict(spec, **change))
     ModelSpec(**spec)
-
-
-def test_pair_taps_blockwise_when_counts_match():
-    a = build_model(toy_spec("student", "hybrid"), np.random.default_rng(16))
-    b = build_model(toy_spec("student", "hybrid"), np.random.default_rng(17))
-    x = Tensor(np.random.default_rng(18).standard_normal((1, 3, 32, 32)).astype(np.float32))
-    _, ta = a.forward_with_taps(x)
-    _, tb = b.forward_with_taps(x)
-    pairs = tap_pairs(a.spec, b.spec)
-    assert pairs == [(i, i) for i in range(len(ta))]
-    assert all(ta[i].shape == tb[j].shape for i, j in pairs)
 
 
 def test_prunable_set_excludes_exempt_tensors():

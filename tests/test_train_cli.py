@@ -24,7 +24,6 @@ from attndistill.models import (
     build_model,
     count_params,
     spec_by_name,
-    tap_pairs,
     toy_spec,
 )
 from attndistill.train import (
@@ -250,6 +249,21 @@ def test_resume_refuses_a_teacher_checkpoint(tmp_path, tiny_teacher):
         sparse_distill(cfg, tiny_teacher["ckpt"], resume=tiny_teacher["ckpt"])
 
 
+def test_cli_resume_over_a_bad_metrics_csv_names_its_line(tmp_path, capsys, tiny_teacher, interrupted_run):
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(interrupted_run, out / "student_last.atlt")
+    csv = os.path.join(os.path.dirname(interrupted_run), "distill_metrics.csv")
+    header, row = open(csv).read().splitlines()
+    (out / "distill_metrics.csv").write_text(f"{header}\n{row.replace(',', ',x', 1)}\n")
+    (tmp_path / "run.json").write_text(json.dumps(tiny_config(out, **RESUMED_RUN).to_dict()))
+    assert cli_main(["distill", "--config", str(tmp_path / "run.json"), "--teacher", tiny_teacher["ckpt"],
+                     "--resume", str(out / "student_last.atlt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: FormatError: metrics file {out / 'distill_metrics.csv'} line 2: ")
+    assert err.count("\n") == 1
+
+
 def test_resume_refuses_a_checkpoint_without_config(tmp_path, tiny_teacher, interrupted_run):
     manifest, arrays, masks = load_checkpoint(interrupted_run)
     del manifest["config"]
@@ -391,6 +405,42 @@ def test_non_teacher_checkpoint_refused_as_teacher(tmp_path):
                                  phases=["sparse-distill"])
     with pytest.raises(ConfigError, match="not a teacher"):
         sparse_distill(cfg, ckpt)
+
+
+@pytest.mark.parametrize("command,depth,message", [
+    ("train-teacher", "student26", "depth student26 builds a student, not a teacher"),
+    ("distill", "teacher50", "depth teacher50 builds a teacher, not a student"),
+], ids=["train-teacher", "distill"])
+def test_a_depth_that_builds_the_other_role_is_refused(tmp_path, capsys, tiny_teacher, command, depth,
+                                                        message):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, "--depth", depth, "--variant", "hybrid", "--out-dir", str(out),
+            "--synth-train", "4", "--synth-test", "4", "--batch-size", "4", "--epochs", "1"]
+    assert cli_main(argv + (["--teacher", tiny_teacher["ckpt"]] if command == "distill" else [])) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert not os.listdir(out)
+
+
+def test_cli_eval_refuses_data_of_another_class_count(tmp_path, capsys):
+    model = build_model(toy_spec("teacher", "conv", classes=10), np.random.default_rng(0))
+    ckpt = save_model_checkpoint(str(tmp_path / "t.atlt"), model, tiny_config(tmp_path, classes=10),
+                                 "teacher", 1, phases=["teacher-train"])
+    assert cli_main(["eval", "--ckpt", ckpt]) == 1  # the default flags read 2-class synthetic data
+    assert capsys.readouterr().err == "error: ConfigError: dataset has 2 classes, the model 10\n"
+
+
+@pytest.mark.parametrize("refused", ["--teacher", "--student"])
+def test_cli_report_refuses_a_checkpoint_of_the_other_role(tmp_path, capsys, tiny_teacher, refused):
+    """One checkpoint in both slots: the slot of the other role refuses it."""
+    student = build_model(toy_spec("student", "hybrid"), np.random.default_rng(0))
+    ckpt = tiny_teacher["ckpt"]
+    if refused == "--teacher":
+        ckpt = save_model_checkpoint(str(tmp_path / "s.atlt"), student, tiny_config(tmp_path), "student", 1,
+                                     phases=["sparse-distill"])
+    assert cli_main(["report", "--teacher", ckpt, "--student", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: {refused} checkpoint {ckpt} is a ") and err.count("\n") == 1
 
 
 def test_report_on_toy_pair(tmp_path, tiny_teacher):
@@ -814,22 +864,6 @@ def test_metrics_csv_read_write_roundtrip(tmp_path):
     rows = RunMetrics.read(str(path))
     assert rows[0]["total_loss"] == 1.5
     assert rows[0]["d:b.w"] == 0.3
-
-
-@pytest.mark.parametrize("student,teacher", [("student26", "teacher50"), ("toy", "toy")])
-def test_trimmed_teacher_taps_pair_as_the_full_lists(student, teacher):
-    s_spec = spec_by_name(student, "student", "hybrid", 10, 3, 8 if student == "student26" else 2)
-    t_spec = spec_by_name(teacher, "teacher", "conv", 10, 3, 8)
-    where_s = [(s, b, n) for s, n in enumerate(s_spec.blocks) for b in range(n)]
-    where_t = [(s, b, n) for s, n in enumerate(t_spec.blocks) for b in range(n)]
-    pairs = tap_pairs(s_spec, t_spec)
-    for i, j in pairs:  # same stage; block for block, or both stage-final
-        (ss, bs, ns), (st, bt, nt) = where_s[i], where_t[j]
-        assert ss == st and (bs == bt if ns == nt else (bs, bt) == (ns - 1, nt - 1))
-    assert {where_s[i][0] for i, _ in pairs} == set(range(len(s_spec.blocks)))
-    assert len({j for _, j in pairs}) == len(pairs)  # the trimmed list keeps each teacher tap once
-    if student == "student26":  # one tap per stage: the teacher's stage-final block
-        assert pairs == [(0, 2), (2, 6), (6, 12), (7, 15)]
 
 
 def test_distill_without_stem_pruning_reports_and_evaluates(tmp_path, tiny_teacher):
