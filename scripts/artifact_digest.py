@@ -18,7 +18,10 @@ without the stem, `count_params`, and `count_flops` unmasked and under
 `init_mask` masks in both modes, with and without the stem. Run it in two
 checkouts and diff the outputs: equal lines mean byte-identical artifacts
 and the same models.
-BLAS runs on one thread, and `local_attention` splits only work that
+BLAS runs on one thread, and the ops that use a second CPU (`conv2d`'s
+images and its weight and input gradients, `local_attention`'s heads,
+projections and gradient GEMMs, the non-head splits only above
+`tensor._SPLIT_MACS` multiply-adds per thread) split only work that
 gives the same bytes in either thread, so the digests must match at one
 and at two CPUs: compare a plain run with one under `taskset -c 0`.
 After the digests it prints the process's peak resident set, minor page

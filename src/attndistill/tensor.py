@@ -51,11 +51,17 @@ loss and to the forward's outputs, nothing of the step is left.
 
 Thread contract: tensors are plain arrays, safe to share for read-only
 evaluation; recording state (grad mode, default dtype) is thread-local,
-and gradient accumulation belongs to the single training thread. Only
-`local_attention` starts a thread, for half of its per-head work
-(`_split_heads`; none with one CPU), and that thread calls numpy alone,
-never a Tensor op. Each reduction there runs within one head, and BLAS
-under a fixed thread configuration, so results are bitwise reproducible.
+and gradient accumulation belongs to the single training thread. Three
+sites run the second half of their work in one other thread (`_halves`;
+none with one CPU): `conv2d`'s images, `conv2d`'s weight | input
+gradients, and `local_attention`'s heads, q,k | v projections and
+weight | input gradient GEMMs. Except for the heads, a call splits only
+when each thread's share, counted from the op's shapes, comes to
+`_SPLIT_MACS` (2^25) multiply-adds, so the toy models run inline. That
+thread calls numpy alone, never a Tensor op, with the inline call's
+operands; every reduction stays within one head, image or task, and BLAS
+runs under a fixed thread configuration, so the bytes are the same at one
+and at two CPUs.
 """
 
 from __future__ import annotations
@@ -424,6 +430,53 @@ def log_softmax(a: Tensor, axis: int) -> Tensor:
     return _record(y, (a,), bw)
 
 
+# --- two threads ---
+
+
+_TWO_CPUS = len(os.sched_getaffinity(0)) > 1 if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1) > 1
+# multiply-adds each thread's share needs before a call splits. Splitting the toy models'
+# work at B=100 (shares up to 2e7, the largest two attention gradient GEMMs) made their
+# steps slower; at B=8 every teacher50/student26 share but the stem's and one conv's is larger
+_SPLIT_MACS = 1 << 25
+
+
+def _halves(n: int, fn, macs=None):
+    """Call `fn` on a slice of the first half of `range(n)` here and of the second in one other
+    thread, both ending before this does and the second's exception re-raised here; inline with
+    one CPU, or when the second half's `macs` (one item's multiply-adds) fall short of `_SPLIT_MACS`."""
+    cut = (n + 1) // 2 if _TWO_CPUS and (macs is None or n // 2 * macs >= _SPLIT_MACS) else n
+    if cut == n:
+        return fn(slice(0, n))
+    failed = []
+
+    def second():
+        try:
+            fn(slice(cut, n))
+        except BaseException as e:  # handed to the calling thread, which raises it
+            failed.append(e)
+
+    worker = threading.Thread(target=second)
+    worker.start()
+    try:
+        fn(slice(0, cut))
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+
+
+def _map_halves(fn, items, macs):
+    """`[fn(item) for item in items]`, the items split between two threads (`_halves`)
+    when each call is `macs` multiply-adds."""
+    results = list(items)
+
+    def run(part):
+        results[part] = [fn(item) for item in items[part]]
+
+    _halves(len(items), run, macs)
+    return results
+
+
 # --- convolution and pooling ---
 
 
@@ -457,7 +510,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, live=None) -> Te
     float64 sum the result does not depend on the order the images are
     added in, and its error is that of one float32 contraction over the
     batch. The input gradient is skipped when the input does not require
-    grad (the stem).
+    grad (the stem). Above `_SPLIT_MACS` (see the thread contract) each
+    half of the images runs the loop in its own thread, into its own rows
+    of a kept column matrix or its own buffer, and the weight gradient
+    runs, in image order, beside the input gradient.
 
     `live` = (indices, weight matrix on them) multiplies only those columns
     of the (C_out, C_in*kh*kw) weight matrix, the others being zero: the
@@ -479,35 +535,46 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, live=None) -> Te
     wmat = w.data.reshape(cout, rows) if live is None else live[1]
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     out = np.empty((B, cout, ho * wo), dtype=dtype)
-    whole = _records((x, w)) or (pointwise and live is None)
-    n = B if whole else max(1, _COLS_BUDGET // (rows * ho * wo * dtype.itemsize))
-    buf = None if pointwise else np.empty((min(n, B), rows, ho * wo), dtype=dtype)
-    for b0 in range(0, B, n):
-        xb = xp[b0 : b0 + n]
-        cols2 = xb.reshape(len(xb), rows, -1) if pointwise else _im2col(xb, kh, kw, stride, buf[: len(xb)])
-        if live is not None:
-            cols2 = np.take(cols2, live[0], axis=1)
-        np.matmul(wmat[None], cols2, out=out[b0 : b0 + n])
+    keep = _records((x, w))
+    n = B if keep or (pointwise and live is None) else max(1, _COLS_BUDGET // (rows * ho * wo * dtype.itemsize))
+    cols = x.data.reshape(B, rows, -1) if pointwise else np.empty((B, rows, ho * wo), dtype=dtype) if keep else None
+
+    def forward_images(part):
+        size = min(n, part.stop - part.start)
+        buf = cols[part] if cols is not None else np.empty((size, rows, ho * wo), dtype=dtype)
+        for b0 in range(part.start, part.stop, n):
+            xb = xp[b0 : min(b0 + n, part.stop)]
+            cols2 = xb.reshape(len(xb), rows, -1) if pointwise else _im2col(xb, kh, kw, stride, buf[: len(xb)])
+            if live is not None:
+                cols2 = np.take(cols2, live[0], axis=1)
+            np.matmul(wmat[None], cols2, out=out[b0 : b0 + len(xb)])
+
+    _halves(B, forward_images, wmat.size * ho * wo)
     out = out.reshape(B, cout, ho, wo)
 
-    def bw(g):
-        g2 = g.reshape(B, cout, ho * wo)
+    def weight_grad(g2):
         dw64 = np.zeros(wmat.shape, dtype=np.float64)
         for b in range(B):
-            dw64 += g2[b] @ cols2[b].T
-        dw = dw64.astype(g2.dtype).reshape(w.shape)
-        if not x.requires_grad:
-            return None, dw
+            dw64 += g2[b] @ cols[b].T
+        return dw64.astype(g2.dtype).reshape(w.shape)
+
+    def input_grad(g2):
         dcols = np.matmul(wmat.T[None], g2)
         if pointwise:
             dcols += 0.0  # -0.0 becomes +0.0, as in the zero-filled scatter below
-            return dcols.reshape(x.shape), dw
+            return dcols.reshape(x.shape)
         dcols = dcols.reshape(B, cin, kh, kw, ho, wo)
         dxp = np.zeros((B, cin, H + 2 * pad, W + 2 * pad), dtype=x.data.dtype)
         for di in range(kh):
             for dj in range(kw):
                 dxp[:, :, di : di + stride * ho : stride, dj : dj + stride * wo : stride] += dcols[:, :, di, dj]
-        dx = dxp[:, :, pad : pad + H, pad : pad + W] if pad else dxp
+        return dxp[:, :, pad : pad + H, pad : pad + W] if pad else dxp
+
+    def bw(g):
+        g2 = g.reshape(B, cout, ho * wo)
+        if not x.requires_grad:
+            return None, weight_grad(g2)
+        dw, dx = _map_halves(lambda grad: grad(g2), [weight_grad, input_grad], B * wmat.size * ho * wo)
         return dx, dw
 
     return _record(out, (x, w), bw)
@@ -710,33 +777,6 @@ def _batch_last(a: np.ndarray) -> np.ndarray:
     return staged[:, :R].T.copy().reshape(a.shape[1:] + (B,))
 
 
-_TWO_CPUS = len(os.sched_getaffinity(0)) > 1 if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1) > 1
-
-
-def _split_heads(n: int, fn):
-    """Call `fn` on a slice of the first half of `range(n)` here, and of the second in one
-    other thread; both end before this does, and the second's exception re-raises here."""
-    cut = (n + 1) // 2 if _TWO_CPUS else n
-    if cut == n:
-        return fn(slice(0, n))
-    failed = []
-
-    def second():
-        try:
-            fn(slice(cut, n))
-        except BaseException as e:  # handed to the calling thread, which raises it
-            failed.append(e)
-
-    worker = threading.Thread(target=second)
-    worker.start()
-    try:
-        fn(slice(0, cut))
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-
-
 def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: Tensor,
                     content_scale: float, pos_scale: float, live=None) -> Tensor:
     """Multi-head k x k local self-attention of an NCHW map, one graph node.
@@ -763,7 +803,10 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
     weights; the backward recomputes the scaled queries and the stacked
     projection matrix and allocates its own scratch. Each pass runs its
     per-head part, all but the projections and the layout copies around
-    them, on two halves of the head axis in two threads (`_split_heads`).
+    them, on two halves of the head axis in two threads (`_halves`). The
+    q,k | v projections and, in the backward, the weight | input gradient
+    GEMMs run in two threads too when each share comes to `_SPLIT_MACS`
+    multiply-adds (see the thread contract).
     """
     B, c_in, H, W = x.shape
     N, span, _, ch = rel_pos.shape
@@ -782,7 +825,8 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
         live = [(slice(None), w.data.T) for w in (w_q, w_k, w_v)]
     else:
         _contract(not _grad_enabled(), "local_attention reads only live columns when no graph is recorded")
-    q, *kv = (np.matmul(wmat, xt[idx]).reshape(N, ch, H, W, B) for idx, wmat in live)
+    q, *kv = _map_halves(lambda p: np.matmul(p[1], xt[p[0]]).reshape(N, ch, H, W, B), live,
+                         min(wmat.size for _, wmat in live) * M)
     kvp = np.zeros((2, N, ch, H + 2 * half, W + 2 * half, B), dtype=dtype)
     for padded, proj in zip(kvp, kv):
         padded[..., half : half + H, half : half + W, :] = proj
@@ -809,7 +853,7 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
             np.multiply(ah[:, d, None], vh[..., i : i + H, j : j + W, :], out=prod)
             oh += prod
 
-    _split_heads(N, forward_heads)
+    _halves(N, forward_heads)
 
     def bw(g):
         gh = _batch_last(g).reshape(N, ch, H, W, B)
@@ -838,18 +882,18 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
             dband = np.matmul(dl_b, q_b).sum(axis=0) * sp
             drel[hs, half : half + k, half : half + k] = dband.reshape(-1, k, k, ch)
 
-        _split_heads(N, backward_heads)
+        _halves(N, backward_heads)
 
         # q/k/v gradients as one (3 c_out, B*H*W) matrix, batch outermost
         d = np.empty((3, N, ch, B, H, W), dtype=dtype)
         d[0] = dq.transpose(0, 1, 4, 2, 3)
         d[1:] = dkvp[..., half : half + H, half : half + W, :].transpose(0, 1, 2, 5, 3, 4)
         d = d.reshape(3 * c_out, B * H * W)
-        dx = None
+        pairs = [(x.data.transpose(1, 0, 2, 3).reshape(c_in, B * H * W), d.T)]  # dw, then dx
         if x.requires_grad:
-            w_all = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)
-            dx = np.ascontiguousarray((w_all @ d).reshape(c_in, B, H, W).transpose(1, 0, 2, 3))
-        dw = x.data.transpose(1, 0, 2, 3).reshape(c_in, B * H * W) @ d.T
+            pairs.append((np.concatenate([w_q.data, w_k.data, w_v.data], axis=1), d))
+        dw, *dx = _map_halves(lambda ab: ab[0] @ ab[1], pairs, d.size * c_in)
+        dx = np.ascontiguousarray(dx[0].reshape(c_in, B, H, W).transpose(1, 0, 2, 3)) if dx else None
         dw_q, dw_k, dw_v = (np.ascontiguousarray(part) for part in np.split(dw, 3, axis=1))
         return dx, dw_q, dw_k, dw_v, drel
 

@@ -22,7 +22,7 @@ import glob
 import math
 import os
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -393,8 +393,10 @@ def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: M
 
 def train_teacher(cfg: TrainConfig):
     """Cross-entropy training of the convolutional teacher: the epoch loop
-    with no teacher and no masks. Returns (checkpoint path, RunMetrics)."""
-    spec = spec_by_name(cfg.depth, "teacher", "conv", cfg.classes, cfg.extent, cfg.heads)
+    with no teacher and no masks, recorded as the conv variant whatever
+    `cfg.variant` says. Returns (checkpoint path, RunMetrics)."""
+    cfg = replace(cfg, variant="conv")
+    spec = spec_by_name(cfg.depth, "teacher", cfg.variant, cfg.classes, cfg.extent, cfg.heads)
     train_ds, test_ds = load_datasets(cfg)
     model = build_model(spec, np.random.default_rng([cfg.seed, 1]))
     opt = SGD(model.named_params(), cfg.lr, cfg.momentum, cfg.weight_decay)

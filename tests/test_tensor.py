@@ -742,10 +742,8 @@ def _attention_bytes(heads):
     return [a.tobytes() for a in (out.data, *(t.grad for t in leaves), live.data)]
 
 
-@pytest.mark.parametrize("heads", [1, 2, 3, 8])
-def test_local_attention_split_over_two_threads_is_the_inline_call(heads, monkeypatch):
-    """Two halves of the head axis, one in a second thread, give the bytes
-    of the whole axis run inline, as with one CPU."""
+def _thread_starts(monkeypatch):
+    """The list that every thread started from now on is appended to."""
     started = []
 
     class Counted(threading.Thread):
@@ -754,12 +752,25 @@ def test_local_attention_split_over_two_threads_is_the_inline_call(heads, monkey
             super().start()
 
     monkeypatch.setattr(threading, "Thread", Counted)
-    monkeypatch.setattr(T, "_TWO_CPUS", True)
-    split = _attention_bytes(heads)
-    assert len(started) == (3 if heads > 1 else 0)  # forward, backward, live forward
+    return started
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3, 8])
+def test_local_attention_split_over_two_threads_is_the_inline_call(heads, monkeypatch):
+    """Two halves of the head axis, one in a second thread, give the bytes
+    of the whole axis run inline, as with one CPU. So do the q,k | v
+    projections and the weight | input gradient GEMMs, which these shapes
+    split only with `_SPLIT_MACS` at 0."""
+    started = _thread_starts(monkeypatch)
     monkeypatch.setattr(T, "_TWO_CPUS", False)
-    assert _attention_bytes(heads) == split
-    assert len(started) == (3 if heads > 1 else 0)
+    inline = _attention_bytes(heads)
+    assert not started
+    monkeypatch.setattr(T, "_TWO_CPUS", True)
+    assert _attention_bytes(heads) == inline
+    assert len(started) == (3 if heads > 1 else 0)  # forward, backward, live forward
+    monkeypatch.setattr(T, "_SPLIT_MACS", 0)
+    assert _attention_bytes(heads) == inline
+    assert len(started) == (3 if heads > 1 else 0) + (6 if heads > 1 else 3)  # and projections, gradients
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # numpy's, from either thread
@@ -784,6 +795,118 @@ def test_local_attention_with_one_cpu_starts_no_thread(monkeypatch):
     monkeypatch.setattr(T, "_TWO_CPUS", False)
     monkeypatch.setattr(threading, "Thread", refuse)
     assert len(_attention_bytes(8)) == 7
+
+
+# (k, stride, pad, input needs grad, unrecorded call on live columns)
+CONV_SPLITS = {"3x3": (3, 1, 1, True, False), "down": (1, 2, 0, True, False), "pointwise": (1, 1, 0, True, False),
+               "stem": (3, 1, 1, False, False), "chunked-live": (3, 1, 1, False, True)}
+
+
+def _conv_bytes(k, stride, pad, x_grad, live):
+    """A recorded call's output and gradients, or an unrecorded call on
+    every other weight column, as bytes; 7 images, so the halves are 4 | 3."""
+    rng = np.random.default_rng([k, stride, pad, x_grad])
+    x = rng.standard_normal((7, 4, 6, 6)).astype(np.float32)
+    w = rng.standard_normal((5, 4, k, k)).astype(np.float32)
+    if live:
+        idx = np.arange(0, 4 * k * k, 2)
+        with no_grad():
+            out = T.conv2d(Tensor(x), Tensor(w), stride, pad, live=(idx, w.reshape(5, -1)[:, idx]))
+        return [out.data.tobytes()]
+    xt, wt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True)
+    out = T.conv2d(xt, wt, stride=stride, pad=pad)
+    _backward_with(out, rng.standard_normal(out.shape).astype(np.float32))
+    return [a.tobytes() for a in (out.data, wt.grad) + ((xt.grad,) if x_grad else ())]
+
+
+@pytest.mark.parametrize("case", CONV_SPLITS)
+def test_conv2d_split_over_two_threads_is_the_inline_call(case, monkeypatch):
+    """Images split 4 | 3 between two threads, and the weight and input
+    gradients side by side, give the bytes of the inline call. Three
+    images' 3x3 columns fill `_COLS_BUDGET`, so the unrecorded call's
+    chunks, 0-2, 3-5, 6 inline, become 0-2, 3 | 4-6 in the halves' own
+    buffers."""
+    k, stride, pad, x_grad, live = CONV_SPLITS[case]
+    monkeypatch.setattr(T, "_COLS_BUDGET", 3 * 4 * 9 * 36 * 4)
+    started = _thread_starts(monkeypatch)
+    monkeypatch.setattr(T, "_TWO_CPUS", False)
+    monkeypatch.setattr(T, "_SPLIT_MACS", 0)
+    inline = _conv_bytes(k, stride, pad, x_grad, live)
+    assert not started
+    monkeypatch.setattr(T, "_TWO_CPUS", True)
+    assert _conv_bytes(k, stride, pad, x_grad, live) == inline
+    assert len(started) == 1 + x_grad  # the forward, and a backward with an input gradient
+
+
+def test_conv2d_below_the_split_threshold_starts_no_thread(monkeypatch):
+    """A call splits only when each thread's share comes to `_SPLIT_MACS`
+    multiply-adds: here 2^24 for the forward's 4 images x 16 x 256 weights
+    x 1024 pixels, and 2^25 for each gradient task, one image set each."""
+    started = _thread_starts(monkeypatch)
+    monkeypatch.setattr(T, "_TWO_CPUS", True)
+    x = Tensor(np.ones((8, 256, 32, 32), np.float32), requires_grad=True)
+    w = Tensor(np.ones((16, 256, 1, 1), np.float32), requires_grad=True)
+    g = np.ones((8, 16, 32, 32), np.float32)
+    counts = []
+    for least in (1 << 24, (1 << 24) + 1, (1 << 25) + 1):
+        monkeypatch.setattr(T, "_SPLIT_MACS", least)
+        _backward_with(T.conv2d(x, w), g)
+        counts.append(len(started))
+    assert counts == [2, 3, 3]
+
+
+def test_toy_models_split_only_their_heads(monkeypatch):
+    """At B=100 every conv, projection and gradient GEMM of the toy models
+    falls below `_SPLIT_MACS`: a training step of the hybrid student starts
+    only the per-head threads, one per attention pass, and the teacher's
+    forward none."""
+    from attndistill import models
+    from attndistill.attention import SelfAttention
+
+    started = _thread_starts(monkeypatch)
+    monkeypatch.setattr(T, "_TWO_CPUS", True)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((100, 3, 32, 32)).astype(np.float32))
+    teacher, student = (models.build_model(models.spec_by_name("toy", role, variant, 2, 3, 2), rng)
+                        for role, variant in (("teacher", "conv"), ("student", "hybrid")))
+    with no_grad():
+        teacher.forward_with_taps(x)
+    assert not started
+    logits, _ = student.forward_with_taps(x, training=True)
+    T.tsum(logits).backward()
+    attention = [layer for _, layer in student.named_layers() if isinstance(layer, SelfAttention)]
+    assert attention and len(started) == 2 * len(attention)
+
+
+def test_conv2d_with_one_cpu_starts_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(T, "_TWO_CPUS", False)
+    monkeypatch.setattr(T, "_SPLIT_MACS", 0)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    for case in CONV_SPLITS.values():
+        assert _conv_bytes(*case)
+
+
+def test_task_split_error_in_the_second_half_raises_in_the_caller(monkeypatch):
+    """A failing item of a `_map_halves` split, run in the second thread,
+    raises in the caller once the first half is done, and leaves no
+    thread behind."""
+    monkeypatch.setattr(T, "_TWO_CPUS", True)
+    threads, ran = threading.active_count(), []
+
+    def task(item):
+        if item == "boom":
+            raise ShapeError("second half")
+        ran.append(item)
+        return item
+
+    with pytest.raises(ShapeError, match="second half"):
+        T._map_halves(task, ["a", "b", "boom"], T._SPLIT_MACS)
+    assert ran == ["a", "b"] and threading.active_count() == threads
+    assert T._map_halves(task, ["a", "b"], T._SPLIT_MACS) == ["a", "b"]
+    assert threading.active_count() == threads
 
 
 # --- lean autodiff graph: what a recorded op keeps beyond its output ---

@@ -503,6 +503,8 @@ def test_cli_config_file_with_flag_override(tmp_path):
     _, manifest, _, _ = model_from_checkpoint(str(tmp_path / "o" / "teacher.atlt"))
     assert manifest["config"]["lr"] == 0.03  # flag wins
     assert manifest["config"]["epochs"] == 1  # file value kept
+    # the teacher is a conv model, whatever the variant field defaults to
+    assert manifest["config"]["variant"] == manifest["model_spec"]["variant"] == "conv"
 
 
 @pytest.mark.parametrize("config, named", [
