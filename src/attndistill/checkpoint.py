@@ -16,8 +16,9 @@ Layout (all integers little-endian):
         u64       payload byte length
         ...       payload (float32 LE, or packed bits row-major)
 
-Writes go to a temp file in the target directory and are renamed into
-place, so a checkpoint on disk is never half-written. Both directions
+Every output file (checkpoints, metrics CSVs) is written to `<path>.tmp`
+and renamed into place by `atomic_write`, so a file on disk is never
+half-written; a failed write removes the temp file. Both directions
 stream record by record: `save_checkpoint` writes each array's bytes
 from the array itself, and `load_checkpoint` reads each float payload
 straight into a freshly allocated array, so neither holds a copy of the
@@ -29,11 +30,11 @@ kind, and bytes after the last record.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -45,31 +46,38 @@ KIND_F32 = 0
 KIND_MASK = 1
 
 
-def save_checkpoint(path, manifest: dict, arrays: dict, masks: dict | None = None):
-    records = [(n, KIND_F32, a) for n, a in arrays.items()]
-    records += [(n, KIND_MASK, m) for n, m in (masks or {}).items()]
-    mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """`<path>.tmp` open for writing (mode 0666 less the umask), renamed
+    onto `path` when the block ends and removed if it raises."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = os.fspath(path) + ".tmp"
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(MAGIC + struct.pack("<IQ", VERSION, len(mbytes)) + mbytes)
-            f.write(struct.pack("<I", len(records)))
-            for name, kind, arr in records:
-                arr = np.asarray(arr)
-                if kind == KIND_F32:
-                    payload = _raw_bytes(np.ascontiguousarray(arr, dtype="<f4"))
-                else:
-                    payload = np.packbits(arr.reshape(-1).astype(bool))
-                nb = name.encode("utf-8")
-                f.write(struct.pack(f"<H{len(nb)}sBB{arr.ndim}IQ", len(nb), nb, kind, arr.ndim,
-                                    *arr.shape, payload.nbytes))
-                f.write(payload)
+        with open(tmp, mode) as f:
+            yield f
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def save_checkpoint(path, manifest: dict, arrays: dict, masks: dict | None = None):
+    records = [(n, KIND_F32, a) for n, a in arrays.items()]
+    records += [(n, KIND_MASK, m) for n, m in (masks or {}).items()]
+    mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    with atomic_write(path) as f:
+        f.write(MAGIC + struct.pack("<IQ", VERSION, len(mbytes)) + mbytes)
+        f.write(struct.pack("<I", len(records)))
+        for name, kind, arr in records:
+            arr = np.asarray(arr)
+            if kind == KIND_F32:
+                payload = _raw_bytes(np.ascontiguousarray(arr, dtype="<f4"))
+            else:
+                payload = np.packbits(arr.reshape(-1).astype(bool))
+            nb = name.encode("utf-8")
+            f.write(struct.pack(f"<H{len(nb)}sBB{arr.ndim}IQ", len(nb), nb, kind, arr.ndim,
+                                *arr.shape, payload.nbytes))
+            f.write(payload)
 
 
 def _raw_bytes(arr: np.ndarray) -> np.ndarray:

@@ -249,7 +249,7 @@ class Model:
 
         With no graph recorded, a block's output is freed once the next
         block has read it, unless it ends its stage."""
-        if x.ndim != 4 or x.shape[1] != 3 or x.shape[2] != self.spec.input_hw:
+        if x.ndim != 4 or x.shape[1:] != (3, self.spec.input_hw, self.spec.input_hw):
             raise ShapeError(f"expected (B, 3, {self.spec.input_hw}, {self.spec.input_hw}), got {x.shape}")
         h = T.relu(self.stem_bn.forward(self.stem.forward(x), training, overwrite=True), overwrite=True)
         taps = []

@@ -17,8 +17,8 @@ identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import ctypes
 import glob
+import hashlib
 import math
 import os
 import time
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import data as D
 from . import sparse as S
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .distill import DistillConfig, combine_terms, loss_terms
 from .errors import ConfigError, ContractError, FormatError, TrainingDiverged
@@ -79,13 +79,10 @@ class RunMetrics:
         return str(int(v)) if col == "epoch" else format(float(v), ".8g")
 
     def write(self, path):
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
+        with atomic_write(path, "w") as f:
             f.write(",".join(self.columns) + "\n")
             for row in self.rows:
                 f.write(",".join(self._fmt(c, row[c]) for c in self.columns) + "\n")
-        os.replace(tmp, path)
 
     @staticmethod
     def read(path):
@@ -275,51 +272,28 @@ def _density_metrics(model: Model, state: S.SparseState | None):
     return state.nonzero() / prunable, nonzero / total, state.layer_densities()
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt parameters, from glibc's malloc.h
-
-
-def _keep_freed_heap():
-    """Let glibc keep freed memory in this process's heap for reuse.
-
-    Each step frees its whole graph, and the next step allocates the same
-    sizes again. With glibc's defaults the freed pages go back to the OS
-    (a trimmed heap top, munmapped large blocks) and fault in again on the
-    next step. For this process only, it raises the trim threshold to 1
-    GiB, fixes the mmap threshold at 32 MiB (glibc's ceiling) and keeps
-    one arena, so `local_attention`'s second thread reuses this heap. Where
-    `mallopt` cannot be found (not glibc) it does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_ARENA_MAX, 1)
-
-
 def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: Model | None = None,
-         state: S.SparseState | None = None, start_epoch: int = 0):
+         teacher_sha256: str | None = None, state: S.SparseState | None = None, start_epoch: int = 0):
     """Train `model` from `start_epoch`; returns (checkpoint path, RunMetrics).
 
     With a frozen `teacher` the loss is `cfg`'s, else plain cross-entropy;
-    the teacher runs only when the loss reads it. A sparse `state` re-applies
-    its mask after every step. While an epoch follows, it prunes and regrows
-    at the boundary and saves the rolling `<kind>_last.atlt` with the
-    velocities a resume reads; the final `<kind>.atlt` holds none. A resume
-    into its run's own `out_dir` keeps the rows of the epochs before it.
+    the teacher runs only when the loss reads it, and every checkpoint
+    records `teacher_sha256`, the sha256 of the teacher's checkpoint file.
+    A sparse `state` re-applies its mask after every step. While an epoch
+    follows, it prunes and regrows at the boundary and saves the rolling
+    `<kind>_last.atlt` with the velocities a resume reads; the final
+    `<kind>.atlt` holds none. A resume into its run's own `out_dir` keeps
+    the rows of the epochs before it.
 
     A step's autodiff graph lives only in `step`'s locals: backward frees
     most of it node by node, and the rest (logits, taps, loss terms) goes
-    when `step` returns, so no two steps' graphs coexist. The freed heap is
-    kept for the next step (`_keep_freed_heap`).
+    when `step` returns, so no two steps' graphs coexist.
     """
     kind = model.spec.role
     label, phase = _RUNS[kind]
     dcfg = cfg if teacher is not None else _CE_ONLY
     need_teacher = teacher is not None and (dcfg.alpha < 1.0 or dcfg.beta > 0.0)
-    _keep_freed_heap()
+    provenance = {} if teacher_sha256 is None else {"teacher_sha256": teacher_sha256}
 
     def step(xb, yb, epoch, t):
         """One optimizer step; returns the logged (total, ce, kd, at)."""
@@ -380,12 +354,12 @@ def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: M
         metrics.write(metrics_path)
         if state is not None and epoch < cfg.epochs - 1:
             save_model_checkpoint(os.path.join(cfg.out_dir, f"{kind}_last.atlt"), model, cfg, kind,
-                                  epoch + 1, phases=[phase], state=state, optimizer=opt)
+                                  epoch + 1, phases=[phase], extra=provenance, state=state, optimizer=opt)
         print(f"[{label}] epoch {epoch + 1}/{cfg.epochs} loss {mean['total']:.4f} "
               f"acc {acc:.4f} density {density:.4f}")
     final = os.path.join(cfg.out_dir, f"{kind}.atlt")
     return save_model_checkpoint(final, model, cfg, kind, cfg.epochs, phases=[phase],
-                                 extra={"final_acc": acc}, state=state), metrics
+                                 extra={"final_acc": acc, **provenance}, state=state), metrics
 
 
 # --- training entry points ---
@@ -416,9 +390,19 @@ def _check_tap_compatibility(teacher_spec: ModelSpec, student_spec: ModelSpec):
 _RESUME_FREE = ("out_dir", "data_dir", "deterministic")
 
 
-def _resume_epoch(manifest: dict, cfg: TrainConfig, path) -> int:
+def _sha256(path) -> str:
+    """sha256 of a file's bytes, read a chunk at a time."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _resume_epoch(manifest: dict, cfg: TrainConfig, path, teacher_sha256: str) -> int:
     """The epoch to resume from; refuses a checkpoint that is not an
-    unfinished student run of `cfg`."""
+    unfinished student run of `cfg` distilled from the teacher file whose
+    sha256 is `teacher_sha256`."""
     if manifest.get("kind") != "student":
         raise ConfigError(f"resume checkpoint {path} is a {manifest.get('kind')!r} checkpoint, "
                           "not a student")
@@ -429,6 +413,10 @@ def _resume_epoch(manifest: dict, cfg: TrainConfig, path) -> int:
               if k not in _RESUME_FREE and stored.get(k) != now.get(k)]
     if differ:
         raise ConfigError(f"resume checkpoint {path} is from a different run: {', '.join(differ)}")
+    recorded = manifest.get("teacher_sha256")
+    if recorded != teacher_sha256:
+        raise ConfigError(f"resume checkpoint {path} is from a different teacher: "
+                          f"sha256 {str(recorded)[:12]} -> {teacher_sha256[:12]}")
     epoch = manifest.get("epoch")
     if type(epoch) is not int or epoch < 0:  # a bool is no epoch
         raise FormatError(f"resume checkpoint {path} records no epoch (got {epoch!r})")
@@ -443,17 +431,19 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None):
 
     `resume` continues from the rolling `student_last.atlt` of the same
     run (the config may differ only in `out_dir`, `data_dir` and
-    `deterministic`), written after every epoch but the last.
+    `deterministic`), written after every epoch but the last. The teacher
+    file must hold the same bytes as the run's, at whatever path.
     """
     student_spec = spec_by_name(cfg.depth, "student", cfg.variant, cfg.classes,
                                 cfg.extent, cfg.heads, cfg.pos_scale)
     train_ds, test_ds = load_datasets(cfg)
     teacher = _model_of_role(teacher_ckpt, "teacher", "--teacher")[0]
     _check_tap_compatibility(teacher.spec, student_spec)
+    teacher_sha256 = _sha256(teacher_ckpt)
     start_epoch, loaded = 0, None
     if resume is not None:
         loaded = load_checkpoint(resume)
-        start_epoch = _resume_epoch(loaded[0], cfg, resume)
+        start_epoch = _resume_epoch(loaded[0], cfg, resume, teacher_sha256)
     # a resumed student takes every value from the file, so it draws none
     student = build_model(student_spec, _NO_DRAWS if loaded else np.random.default_rng([cfg.seed, 2]))
     opt = SGD(student.named_params(), cfg.lr, cfg.momentum, cfg.weight_decay)
@@ -466,7 +456,8 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None):
                             include_stem=cfg.stem_prunable)
         S.audit_coverage(state, student)
         S.apply_mask(state, student)
-    return _fit(cfg, student, opt, train_ds, test_ds, teacher=teacher, state=state, start_epoch=start_epoch)
+    return _fit(cfg, student, opt, train_ds, test_ds, teacher=teacher, teacher_sha256=teacher_sha256,
+                state=state, start_epoch=start_epoch)
 
 
 # --- accounting report ---

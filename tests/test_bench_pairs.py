@@ -1,0 +1,52 @@
+import importlib.util
+import json
+import os
+
+SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_pairs.py")
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BENCH = {"end_to_end": [
+    {"name": "step_s_p50", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "eval_images_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]}
+
+
+def _line(step, evals, failed=0):
+    """One run's last output line, as `perfbench/run.py` prints it."""
+    return json.dumps({"correct": not failed, "attempted": 40, "failed": failed, "metrics": {
+        "step_s_p50": {"value": step, "unit": "s"}, "eval_images_per_s": {"value": evals, "unit": "1/s"}}})
+
+
+def _pairs(*rows):
+    return [tuple(json.loads(_line(*run)) if run else None for run in row) for row in rows]
+
+
+def test_summary_reports_medians_quartiles_and_wins():
+    pairs = _pairs(((1.0, 40.0), (0.9, 41.0)), ((1.2, 38.0), (1.1, 37.0)),
+                   ((1.1, 39.0), (1.2, 39.5)), ((1.3, 40.0), (1.0, 42.0)))
+    lines, ok = bench_pairs.summarize(BENCH, pairs)
+    assert ok
+    assert lines == [
+        "step_s_p50 (lower is better, bound 25%): parent 1.15 [1.075, 1.225] -> "
+        "change 1.05 [0.975, 1.125] s, -8.7%, change better in 3/4",
+        "eval_images_per_s (higher is better, bound 25%): parent 39.5 [38.75, 40] -> "
+        "change 40.25 [38.88, 41.25] 1/s, +1.9%, change better in 3/4",
+    ]
+
+
+def test_a_median_beyond_its_bound_fails():
+    pairs = _pairs(((1.0, 40.0), (1.3, 40.0)), ((1.0, 40.0), (1.3, 29.0)))
+    lines, ok = bench_pairs.summarize(BENCH, pairs)
+    assert not ok
+    assert lines[0].endswith("+30.0%, change better in 0/2  WORSE THAN THE BOUND")
+    assert not lines[1].endswith("BOUND")  # 40 -> 34.5 is -13.75%
+
+
+def test_a_failed_run_fails_and_leaves_its_pair_out():
+    pairs = _pairs(((1.0, 40.0), (1.0, 40.0, 1)), ((1.0, 40.0), None), ((1.0, 40.0), (0.9, 41.0)))
+    lines, ok = bench_pairs.summarize(BENCH, pairs)
+    assert not ok
+    assert lines[:2] == ["pair 0: the change run failed", "pair 1: the change run failed"]
+    assert lines[2].endswith("-10.0%, change better in 1/1")

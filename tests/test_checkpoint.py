@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 import tracemalloc
 
@@ -7,6 +9,7 @@ import pytest
 
 from attndistill.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from attndistill.errors import FormatError
+from attndistill.train import RunMetrics
 
 
 def test_roundtrip_arrays_and_masks(tmp_path):
@@ -70,6 +73,29 @@ def test_no_leftover_temp_files(tmp_path):
     save_checkpoint(path, {}, {"w": np.zeros(4, dtype=np.float32)})
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def _write_checkpoint(path, bad=False):
+    save_checkpoint(path, {}, {"w": np.ones(3, dtype=np.float32), **({"bad": "x"} if bad else {})})
+
+
+def _write_metrics(path, bad=False):
+    metrics = RunMetrics()
+    metrics.add_row(epoch=0, lr="x" if bad else 0.1)
+    metrics.write(str(path))
+
+
+@pytest.mark.parametrize("write", [_write_checkpoint, _write_metrics])
+def test_output_files_follow_the_umask_and_a_failed_write_leaves_nothing(tmp_path, write):
+    old = os.umask(0o022)
+    try:
+        write(tmp_path / "out" / "done")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "out" / "done").st_mode) == 0o644
+    with pytest.raises(ValueError):
+        write(tmp_path / "out" / "failed", bad=True)
+    assert os.listdir(tmp_path / "out") == ["done"]
 
 
 def _corrupt_record(tmp_path, name, patch):

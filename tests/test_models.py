@@ -131,6 +131,12 @@ def test_forward_rejects_wrong_shape():
         m.forward_with_taps(Tensor(np.zeros((2, 3, 16, 16), dtype=np.float32)))
 
 
+def test_forward_rejects_a_wrong_width():
+    m = build_model(toy_spec("teacher", "conv"), np.random.default_rng(8))
+    with pytest.raises(ShapeError, match=r"expected \(B, 3, 32, 32\), got \(2, 3, 32, 16\)"):
+        m.forward_with_taps(Tensor(np.zeros((2, 3, 32, 16), dtype=np.float32)))
+
+
 def test_count_params_dense_equals_total():
     _, student = _toy_pair()
     total, nonzero = count_params(student)

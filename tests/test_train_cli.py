@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import json
 import os
 import re
@@ -205,13 +206,6 @@ def test_no_step_graph_outlives_its_step(tmp_path, tiny_teacher, monkeypatch):
     assert len(alive) > 2 * 2 * 8 and not any(alive)
 
 
-def test_keep_freed_heap_does_nothing_without_mallopt(monkeypatch):
-    import attndistill.train as TR
-
-    monkeypatch.setattr(TR.ctypes, "CDLL", lambda name: object())  # a C library with no mallopt
-    TR._keep_freed_heap()
-
-
 def test_teacher_run_has_no_distillation_and_no_masks(tiny_teacher):
     """The teacher goes through the distillation loop with no teacher and no
     masks; its artifacts are those of plain cross-entropy training."""
@@ -262,6 +256,37 @@ def test_cli_resume_over_a_bad_metrics_csv_names_its_line(tmp_path, capsys, tiny
     err = capsys.readouterr().err
     assert err.startswith(f"error: FormatError: metrics file {out / 'distill_metrics.csv'} line 2: ")
     assert err.count("\n") == 1
+
+
+def test_cli_resume_refuses_another_teacher(tmp_path, capsys, tiny_teacher, interrupted_run):
+    """The rolling file records the sha256 of its teacher's file: another
+    teacher is refused, a byte-identical copy at another path resumes."""
+    def sha256(path):
+        with open(path, "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+
+    untrained = build_model(toy_spec("teacher", "conv"), np.random.default_rng(8))
+    other = save_model_checkpoint(str(tmp_path / "other.atlt"), untrained, tiny_teacher["cfg"], "teacher", 0,
+                                  phases=["untrained"])
+    copy = shutil.copy(tiny_teacher["ckpt"], tmp_path / "copy.atlt")
+    (tmp_path / "run.json").write_text(json.dumps(tiny_config(tmp_path / "run", **RESUMED_RUN).to_dict()))
+    argv = ["distill", "--config", str(tmp_path / "run.json"), "--resume", interrupted_run, "--teacher"]
+    assert cli_main(argv + [other]) == 1
+    recorded = sha256(tiny_teacher["ckpt"])
+    assert capsys.readouterr().err == (f"error: ConfigError: resume checkpoint {interrupted_run} is from a "
+                                       f"different teacher: sha256 {recorded[:12]} -> {sha256(other)[:12]}\n")
+    assert not (tmp_path / "run").exists()
+    assert cli_main(argv + [str(copy)]) == 0
+    assert load_checkpoint(tmp_path / "run" / "student.atlt")[0]["teacher_sha256"] == recorded
+
+
+def test_resume_refuses_a_checkpoint_without_teacher_hash(tmp_path, tiny_teacher, interrupted_run):
+    manifest, arrays, masks = load_checkpoint(interrupted_run)
+    del manifest["teacher_sha256"]
+    path = str(tmp_path / "nohash.atlt")
+    save_checkpoint(path, manifest, arrays, masks)
+    with pytest.raises(ConfigError, match="different teacher: sha256 None -> "):
+        sparse_distill(tiny_config(tmp_path / "out", **RESUMED_RUN), tiny_teacher["ckpt"], resume=path)
 
 
 def test_resume_refuses_a_checkpoint_without_config(tmp_path, tiny_teacher, interrupted_run):
