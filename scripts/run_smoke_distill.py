@@ -1,10 +1,13 @@
 """Desk-scale end-to-end experiment on the synthetic fixture.
 
-Trains the toy conv teacher, then distills two sparse hybrid students at
-density 0.25 (one with the combined KD+AT loss, one cross-entropy-only)
-and prints the final comparison plus the accounting report.
+Runs the recipe of acceptance criterion 8's fixture (`smoke_runs` in
+tests/test_acceptance.py): trains the toy conv teacher, then distills two
+sparse hybrid students at density 0.25 for 10 epochs at lr 0.003 (one
+with the combined KD+AT loss, one cross-entropy-only) and prints the
+final comparison plus the accounting report. At the default seed 0 it
+trains what the fixture trains; other seeds sweep the same recipe.
 
-Usage: python scripts/run_smoke_distill.py [--out-dir runs/smoke] [--seed 7]
+Usage: python scripts/run_smoke_distill.py [--out-dir runs/smoke] [--seed 0] [--epochs 10]
 """
 
 import argparse
@@ -20,7 +23,7 @@ from attndistill import train as TR
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out-dir", default="runs/smoke")
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--epochs", type=int, default=10)
     args = ap.parse_args()
 
@@ -38,7 +41,7 @@ def main():
     runs = {}
     for name, alpha, beta in (("kd_at", 0.1, 1000.0), ("ce_only", 1.0, 0.0)):
         cfg = TrainConfig(out_dir=os.path.join(args.out_dir, name), epochs=args.epochs,
-                          lr=0.005, lr_drops=(8, 9), variant="hybrid",
+                          lr=0.003, lr_drops=(8, 9), variant="hybrid",
                           alpha=alpha, beta=beta, temperature=4.0,
                           density=0.25, prune_mode="irregular", prune_rate0=0.5, **base)
         ckpt, metrics = TR.sparse_distill(cfg, teacher_ckpt)

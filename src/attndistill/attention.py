@@ -3,9 +3,8 @@
 Each output pixel attends to its spatial neighborhood through projected
 queries, keys, and values plus a learned relative-position table indexed by
 the neighbor offset. The content logit is scaled by 1/sqrt(c_out) and the
-positional logit by 1/c_out**0.25 (switchable to 1/sqrt(c_out) for
-ablation). Out-of-image neighborhood slots are excluded from the softmax,
-so boundary pixels renormalize over real neighbors only.
+positional logit by 1/c_out**0.25. Out-of-image slots are excluded from
+the softmax, so boundary pixels renormalize over real neighbors only.
 
 One `SelfAttention` object is one layer: its sizes, its weights and its
 `live` columns, which `sparse.compacted` fills while a column-mode student
@@ -26,8 +25,6 @@ from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
-POS_SCALES = ("fourth-root", "sqrt")  # denominator of the positional logit: c_out**0.25 or sqrt(c_out)
-
 
 class SelfAttention:
     """One local self-attention layer.
@@ -43,17 +40,15 @@ class SelfAttention:
     PRUNABLE = ("w_q", "w_k", "w_v")
 
     def __init__(self, c_in: int, c_out: int, heads: int, extent: int, rng: np.random.Generator,
-                 stride: int = 1, pos_scale: str = "fourth-root", h: int = 0):
+                 stride: int = 1, h: int = 0):
         if c_out % heads != 0:
             raise ConfigError(f"c_out={c_out} not divisible by heads={heads}")
         if extent < 1 or extent % 2 == 0:
             raise ConfigError(f"extent must be odd and positive, got {extent}")
         if stride not in (1, 2):
             raise ConfigError(f"stride must be 1 or 2, got {stride}")
-        if pos_scale not in POS_SCALES:
-            raise ConfigError(f"pos_scale must be one of {POS_SCALES}, got {pos_scale!r}")
         self.c_in, self.c_out, self.heads, self.extent = c_in, c_out, heads, extent
-        self.stride, self.pos_scale, self.h, self.head_dim = stride, pos_scale, h, c_out // heads
+        self.stride, self.h, self.head_dim = stride, h, c_out // heads
         bound, dt = 1.0 / np.sqrt(c_in), T.default_dtype()
         self.w_q, self.w_k, self.w_v = (
             Tensor(rng.uniform(-bound, bound, (c_in, c_out)).astype(dt), requires_grad=True) for _ in range(3))
@@ -90,8 +85,7 @@ def local_self_attention(x: Tensor, layer: SelfAttention) -> Tensor:
     c_in = x.shape[1]
     if c_in != layer.c_in:
         raise ShapeError(f"input has {c_in} channels, layer expects {layer.c_in}")
-    pos_div = np.sqrt(layer.c_out) if layer.pos_scale == "sqrt" else layer.c_out**0.25
     live = tuple(layer.live[n] for n in layer.PRUNABLE) if layer.live else None
     y = T.local_attention(x, layer.w_q, layer.w_k, layer.w_v, layer.rel_pos,
-                          1.0 / np.sqrt(layer.c_out), 1.0 / pos_div, live)
+                          1.0 / np.sqrt(layer.c_out), 1.0 / layer.c_out**0.25, live)
     return T.avg_pool2(y) if layer.stride == 2 else y

@@ -2,9 +2,9 @@
 
 Subcommands: train-teacher, distill, eval, report, gradcheck. In the first
 three every TrainConfig field is a flag `--field-name` (`--lr-drops 18 24 27`;
-a boolean also has `--no-field-name`), except that `pos_scale` is
-`--pos-denom` and `prune_rate0` is `--prune-rate`. A JSON file (--config)
-may supply any field and explicit flags win. Abbreviated flags are refused.
+a boolean also has `--no-field-name`), except that `prune_rate0` is
+`--prune-rate`. A JSON file (--config) may supply any field and explicit
+flags win. Abbreviated flags are refused.
 Exits 0 on success; every failure, a bad flag included, prints one line
 `error: <Kind>: <message>` to stderr and exits 1.
 """
@@ -18,7 +18,7 @@ from dataclasses import fields
 from .config import CHOICES, TrainConfig
 from .errors import AttnDistillError, ConfigError
 
-_LEGACY_FLAGS = {"pos_scale": "--pos-denom", "prune_rate0": "--prune-rate"}
+_LEGACY_FLAGS = {"prune_rate0": "--prune-rate"}
 # field annotation -> how its flag parses
 _FLAG_KINDS = {"int": dict(type=int), "float": dict(type=float), "str": {},
                "bool": dict(action=argparse.BooleanOptionalAction), "tuple": dict(nargs="*", type=int)}

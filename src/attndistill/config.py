@@ -16,15 +16,13 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .attention import POS_SCALES
 from .data import DATASETS
 from .distill import DistillConfig
 from .errors import ConfigError
 from .models import DEPTHS, VARIANTS
 from .sparse import MODES
 
-CHOICES = {"dataset": DATASETS, "depth": DEPTHS, "variant": VARIANTS, "pos_scale": POS_SCALES,
-           "prune_mode": MODES}
+CHOICES = {"dataset": DATASETS, "depth": DEPTHS, "variant": VARIANTS, "prune_mode": MODES}
 # the least value of each count or non-negative field
 _LEAST = {"seed": 0, "classes": 1, "synth_train": 1, "synth_test": 1, "epochs": 1, "batch_size": 1,
           "weight_decay": 0}
@@ -72,7 +70,6 @@ class TrainConfig(DistillConfig):
     variant: str = "hybrid"
     extent: int = 3
     heads: int = 2
-    pos_scale: str = "fourth-root"
     # sparsity
     density: float = 0.25
     prune_mode: str = "irregular"

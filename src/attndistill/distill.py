@@ -5,7 +5,7 @@ The combined objective is
     alpha * CE(y, student) + (1 - alpha) * KL(teacher || student)
         + beta / 2 * sum over tap pairs of || psi_S - psi_T ||_2
 
-where psi are l2-normalized, channel-summed |activation|**p maps flattened
+where psi are l2-normalized, channel-summed squared activations flattened
 per batch element, and the KL term softens both logit sets by a shared
 temperature. Teacher-side inputs are detached, so the total loss is
 differentiable with respect to student parameters only.
@@ -34,7 +34,6 @@ class DistillConfig:
     alpha: float = 0.1
     beta: float = 1000.0
     temperature: float = 4.0
-    map_power: float = 2.0
     temperature_sq_correction: bool = True
 
     def __post_init__(self):
@@ -44,16 +43,14 @@ class DistillConfig:
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.map_power < 1:
-            raise ConfigError(f"map_power must be >= 1, got {self.map_power}")
 
 
-def attention_map(a: Tensor, p: float = 2.0) -> Tensor:
-    """Channel-summed |activation|**p, flattened to (B, H*W)."""
+def attention_map(a: Tensor) -> Tensor:
+    """Channel-summed squared activation, flattened to (B, H*W)."""
     if a.ndim != 4:
         raise ContractError(f"attention_map expects a 4-D activation, got {a.shape}")
     b = a.shape[0]
-    return T.reshape(T.tsum(T.abspow(a, p), axis=1), (b, -1))
+    return T.reshape(T.tsum(T.abspow(a, 2.0), axis=1), (b, -1))
 
 
 def _unit_rows(m: Tensor) -> Tensor:
@@ -61,15 +58,15 @@ def _unit_rows(m: Tensor) -> Tensor:
     return T.div(m, T.add(norm, _NORM_GUARD))
 
 
-def at_loss(taps_s, taps_t, p: float = 2.0) -> Tensor:
+def at_loss(taps_s, taps_t) -> Tensor:
     """Sum over tap pairs of the batch-mean l2 distance between
     normalized attention maps. Teacher activations are detached."""
     if len(taps_s) != len(taps_t):
         raise ContractError(f"tap counts differ: {len(taps_s)} vs {len(taps_t)}")
     total = None
     for a_s, a_t in zip(taps_s, taps_t):
-        psi_s = attention_map(a_s, p)
-        psi_t = attention_map(a_t.detach(), p)
+        psi_s = attention_map(a_s)
+        psi_t = attention_map(a_t.detach())
         if psi_s.shape != psi_t.shape:
             raise ContractError(f"flattened map shapes differ: {psi_s.shape} vs {psi_t.shape}")
         diff = _unit_rows(psi_s) - _unit_rows(psi_t)
@@ -121,7 +118,7 @@ def loss_terms(labels, logits_s, logits_t, taps_s, taps_t, cfg: DistillConfig):
         kd = kd_loss(logits_t, logits_s, cfg.temperature, cfg.temperature_sq_correction)
     at = None
     if cfg.beta > 0:
-        at = at_loss(taps_s, taps_t, cfg.map_power)
+        at = at_loss(taps_s, taps_t)
     return ce, kd, at
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import POS_SCALES, SelfAttention
+from .attention import SelfAttention
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
 
@@ -54,21 +54,18 @@ class ModelSpec:
     heads: int
     classes: int = 10
     input_hw: int = 32
-    stem_width: int = 0  # 0 -> widths[0]
     expansion: int = 4
-    pos_scale: str = "fourth-root"
 
     def __post_init__(self):
-        choices = (("role", ("teacher", "student")), ("variant", VARIANTS), ("depth", DEPTHS),
-                   ("pos_scale", POS_SCALES))
+        choices = (("role", ("teacher", "student")), ("variant", VARIANTS), ("depth", DEPTHS))
         for name, allowed in choices:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"model spec field {name} must be one of {allowed}, got {getattr(self, name)!r}")
-        counts = [(n, getattr(self, n), 1) for n in ("heads", "extent", "classes", "input_hw", "expansion")]
-        counts += [(f"{n}[{i}]", v, 1) for n in ("widths", "blocks") for i, v in enumerate(getattr(self, n))]
-        for name, value, least in counts + [("stem_width", self.stem_width, 0)]:  # a bool is no count
-            if type(value) is not int or value < least:
-                raise ConfigError(f"model spec field {name} must be an integer >= {least}, got {value!r}")
+        counts = [(n, getattr(self, n)) for n in ("heads", "extent", "classes", "input_hw", "expansion")]
+        counts += [(f"{n}[{i}]", v) for n in ("widths", "blocks") for i, v in enumerate(getattr(self, n))]
+        for name, value in counts:  # a bool is no count
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"model spec field {name} must be an integer >= 1, got {value!r}")
         if not self.widths or len(self.widths) != len(self.blocks):
             raise ConfigError("model spec fields widths and blocks must be non-empty and of the same length")
         if self.extent % 2 == 0:
@@ -77,12 +74,6 @@ class ModelSpec:
             for w in self.widths:
                 if w % self.heads:
                     raise ConfigError(f"width {w} not divisible by {self.heads} heads")
-            if self.variant == "homogeneous" and (self.stem_width or self.widths[0]) % self.heads:
-                raise ConfigError("stem width not divisible by head count")
-
-    @property
-    def stem_out(self) -> int:
-        return self.stem_width or self.widths[0]
 
 
 def teacher50_spec(classes: int = 10) -> ModelSpec:
@@ -90,27 +81,23 @@ def teacher50_spec(classes: int = 10) -> ModelSpec:
 
 
 def student_spec(depth: str = "student26", variant: str = "hybrid", classes: int = 10,
-                 extent: int = 3, heads: int = 8, pos_scale: str = "fourth-root") -> ModelSpec:
+                 extent: int = 3, heads: int = 8) -> ModelSpec:
     blocks = {"student26": (1, 2, 4, 1), "student38": (2, 3, 5, 2)}[depth]
-    return ModelSpec("student", variant, depth, (64, 128, 256, 512), blocks, extent, heads,
-                     classes, pos_scale=pos_scale)
+    return ModelSpec("student", variant, depth, (64, 128, 256, 512), blocks, extent, heads, classes)
 
 
-def toy_spec(role: str, variant: str, classes: int = 2, extent: int = 3, heads: int = 2,
-             pos_scale: str = "fourth-root") -> ModelSpec:
+def toy_spec(role: str, variant: str, classes: int = 2, extent: int = 3, heads: int = 2) -> ModelSpec:
     blocks = (2, 2, 2) if role == "teacher" else (1, 1, 1)
-    return ModelSpec(role, variant, "toy", (4, 8, 16), blocks, extent, heads, classes,
-                     expansion=2, pos_scale=pos_scale)
+    return ModelSpec(role, variant, "toy", (4, 8, 16), blocks, extent, heads, classes, expansion=2)
 
 
-def spec_by_name(depth: str, role: str, variant: str, classes: int, extent: int, heads: int,
-                 pos_scale: str = "fourth-root") -> ModelSpec:
+def spec_by_name(depth: str, role: str, variant: str, classes: int, extent: int, heads: int) -> ModelSpec:
     if depth == "toy":
-        return toy_spec(role, variant, classes, extent, heads, pos_scale)
+        return toy_spec(role, variant, classes, extent, heads)
     if depth == "teacher50":
         spec = teacher50_spec(classes)
     elif depth in ("student26", "student38"):
-        spec = student_spec(depth, variant, classes, extent, heads, pos_scale)
+        spec = student_spec(depth, variant, classes, extent, heads)
     else:
         raise ConfigError(f"unknown depth class {depth!r}")
     if spec.role != role:
@@ -185,7 +172,7 @@ class Linear:
 def _spatial_layer(spec, cin, cout, stride, h, rng):
     if spec.variant == "conv":
         return Conv2d(cin, cout, 3, stride, h, rng)
-    return SelfAttention(cin, cout, spec.heads, spec.extent, rng, stride, spec.pos_scale, h)
+    return SelfAttention(cin, cout, spec.heads, spec.extent, rng, stride, h)
 
 
 class Bottleneck:
@@ -228,9 +215,9 @@ class Bottleneck:
 class Model:
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         self.spec = spec
-        cin, h = spec.stem_out, spec.input_hw
+        cin, h = spec.widths[0], spec.input_hw
         if spec.variant == "homogeneous":
-            self.stem = SelfAttention(3, cin, spec.heads, spec.extent, rng, 1, spec.pos_scale, h)
+            self.stem = SelfAttention(3, cin, spec.heads, spec.extent, rng, 1, h)
         else:
             self.stem = Conv2d(3, cin, 3, 1, h, rng)
         self.stem_bn = BatchNorm(cin)

@@ -778,12 +778,12 @@ def _batch_last(a: np.ndarray) -> np.ndarray:
 
 
 def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: Tensor,
-                    content_scale: float, pos_scale: float, live=None) -> Tensor:
+                    content_scale: float, position_scale: float, live=None) -> Tensor:
     """Multi-head k x k local self-attention of an NCHW map, one graph node.
 
     x is (B, c_in, H, W); w_q, w_k, w_v are (c_in, c_out); rel_pos is
     (heads, 2k-1, 2k-1, c_out/heads), of which the central k x k band is
-    used. Logits are content_scale * q.k + pos_scale * q.r per head and
+    used. Logits are content_scale * q.k + position_scale * q.r per head and
     neighbor offset; out-of-image slots get an exactly-zero softmax weight.
     Returns the (B, c_out, H, W) output. `live`, one (input channels,
     (c_out, n) weight matrix on them) pair per projection in q, k, v
@@ -818,7 +818,7 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
     half, K, M = k // 2, k * k, H * W * B
     offsets = [(i, j) for i in range(k) for j in range(k)]  # slice starts in the padded maps
     dtype = x.data.dtype
-    sc, sp = dtype.type(content_scale), dtype.type(pos_scale)
+    sc, sp = dtype.type(content_scale), dtype.type(position_scale)
 
     xt = _batch_last(x.data).reshape(c_in, M)
     if live is None:

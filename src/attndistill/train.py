@@ -90,8 +90,11 @@ class RunMetrics:
             header = f.readline().strip().split(",")
             rows = []
             for n, line in enumerate(f, 2):
+                values = line.strip().split(",")
+                if len(values) != len(header):
+                    raise FormatError(f"metrics file {path} line {n}: {len(values)} fields, header has {len(header)}")
                 try:
-                    rows.append({c: float(v) for c, v in zip(header, line.strip().split(","))})
+                    rows.append({c: float(v) for c, v in zip(header, values)})
                 except ValueError as e:
                     raise FormatError(f"metrics file {path} line {n}: {e}") from e
         return rows
@@ -434,8 +437,7 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None):
     `deterministic`), written after every epoch but the last. The teacher
     file must hold the same bytes as the run's, at whatever path.
     """
-    student_spec = spec_by_name(cfg.depth, "student", cfg.variant, cfg.classes,
-                                cfg.extent, cfg.heads, cfg.pos_scale)
+    student_spec = spec_by_name(cfg.depth, "student", cfg.variant, cfg.classes, cfg.extent, cfg.heads)
     train_ds, test_ds = load_datasets(cfg)
     teacher = _model_of_role(teacher_ckpt, "teacher", "--teacher")[0]
     _check_tap_compatibility(teacher.spec, student_spec)

@@ -17,7 +17,7 @@ def brute_force_attention(xd, p):
     bsz, _, h, w = xd.shape
     k, n_heads, c_out, ch = p.extent, p.heads, p.c_out, p.head_dim
     half = k // 2
-    pos_div = np.sqrt(c_out) if p.pos_scale == "sqrt" else c_out**0.25
+    pos_div = c_out**0.25
     out = np.zeros((bsz, c_out, h, w))
     for b in range(bsz):
         for i in range(h):
@@ -216,17 +216,6 @@ def test_channel_mismatch_shape_error():
     p = init_attention_params(3, 4, 2, 3, rng)
     with pytest.raises(ShapeError):
         local_self_attention(Tensor(np.zeros((1, 5, 4, 4), dtype=np.float32)), p)
-
-
-def test_pos_scale_switch_changes_output():
-    rng = np.random.default_rng(9)
-    x = np.random.default_rng(10).standard_normal((1, 3, 4, 4)).astype(np.float32)
-    p1 = init_attention_params(3, 4, 2, 3, rng, pos_scale="fourth-root")
-    p2 = init_attention_params(3, 4, 2, 3, rng, pos_scale="sqrt")
-    p2.w_q, p2.w_k, p2.w_v, p2.rel_pos = p1.w_q, p1.w_k, p1.w_v, p1.rel_pos
-    y1 = local_self_attention(Tensor(x), p1).data
-    y2 = local_self_attention(Tensor(x), p2).data
-    assert not np.allclose(y1, y2)
 
 
 def test_stride2_pools_after_attention():

@@ -16,7 +16,7 @@ from attndistill.tensor import Tensor, grad_check, precision
 
 
 def test_attention_map_zero_activation():
-    out = attention_map(Tensor(np.zeros((2, 3, 4, 4))), 2.0)
+    out = attention_map(Tensor(np.zeros((2, 3, 4, 4))))
     assert out.shape == (2, 16)
     assert (out.data == 0).all()
 
@@ -24,14 +24,14 @@ def test_attention_map_zero_activation():
 def test_attention_map_single_channel_square():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((2, 1, 3, 3)).astype(np.float32)
-    out = attention_map(Tensor(a), 2.0).data
+    out = attention_map(Tensor(a)).data
     assert np.allclose(out, (a[:, 0] ** 2).reshape(2, 9), atol=1e-6)
 
 
 def test_attention_map_two_channel_hand_value():
     a = np.zeros((1, 2, 1, 1), dtype=np.float32)
     a[0, 0], a[0, 1] = 1.0, -1.0
-    assert attention_map(Tensor(a), 2.0).data[0, 0] == pytest.approx(2.0)
+    assert attention_map(Tensor(a)).data[0, 0] == pytest.approx(2.0)
 
 
 def test_at_loss_identical_maps_is_zero():
@@ -179,7 +179,5 @@ def test_config_validation():
         DistillConfig(alpha=1.5)
     with pytest.raises(ConfigError):
         DistillConfig(temperature=0.0)
-    with pytest.raises(ConfigError):
-        DistillConfig(map_power=0.5)
     with pytest.raises(ConfigError):
         DistillConfig(beta=-1.0)

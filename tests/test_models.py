@@ -265,7 +265,7 @@ def test_spec_validation_errors():
 
 @pytest.mark.parametrize("change, named", [
     (dict(classes=0), "classes"), (dict(input_hw=-4), "input_hw"), (dict(blocks=(1, 0)), "blocks[1]"),
-    (dict(stem_width=-1), "stem_width"), (dict(extent=False), "extent"), (dict(widths=(4, 2.5)), "widths[1]"),
+    (dict(expansion=0), "expansion"), (dict(extent=False), "extent"), (dict(widths=(4, 2.5)), "widths[1]"),
 ])
 def test_spec_refuses_a_count_that_is_not_a_positive_integer(change, named):
     spec = dict(role="student", variant="conv", depth="toy", widths=(4, 8), blocks=(1, 1), extent=3, heads=2)

@@ -243,19 +243,33 @@ def test_resume_refuses_a_teacher_checkpoint(tmp_path, tiny_teacher):
         sparse_distill(cfg, tiny_teacher["ckpt"], resume=tiny_teacher["ckpt"])
 
 
-def test_cli_resume_over_a_bad_metrics_csv_names_its_line(tmp_path, capsys, tiny_teacher, interrupted_run):
+def _resume_over_edited_csv(tmp_path, capsys, teacher_ckpt, interrupted_run, edit):
+    """`distill --resume` in a directory whose metrics CSV holds the interrupted run's
+    one row passed through `edit`; the run must fail. Returns (CSV path, stderr)."""
     out = tmp_path / "run"
     out.mkdir()
     shutil.copy(interrupted_run, out / "student_last.atlt")
     csv = os.path.join(os.path.dirname(interrupted_run), "distill_metrics.csv")
     header, row = open(csv).read().splitlines()
-    (out / "distill_metrics.csv").write_text(f"{header}\n{row.replace(',', ',x', 1)}\n")
+    (out / "distill_metrics.csv").write_text(f"{header}\n{edit(row)}\n")
     (tmp_path / "run.json").write_text(json.dumps(tiny_config(out, **RESUMED_RUN).to_dict()))
-    assert cli_main(["distill", "--config", str(tmp_path / "run.json"), "--teacher", tiny_teacher["ckpt"],
+    assert cli_main(["distill", "--config", str(tmp_path / "run.json"), "--teacher", teacher_ckpt,
                      "--resume", str(out / "student_last.atlt")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: FormatError: metrics file {out / 'distill_metrics.csv'} line 2: ")
-    assert err.count("\n") == 1
+    return out / "distill_metrics.csv", capsys.readouterr().err
+
+
+def test_cli_resume_over_a_bad_metrics_csv_names_its_line(tmp_path, capsys, tiny_teacher, interrupted_run):
+    csv, err = _resume_over_edited_csv(tmp_path, capsys, tiny_teacher["ckpt"], interrupted_run,
+                                       lambda row: row.replace(",", ",x", 1))
+    assert err.startswith(f"error: FormatError: metrics file {csv} line 2: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit", [lambda row: row.rsplit(",", 1)[0], lambda row: row + ",0"], ids=["short", "long"])
+def test_cli_resume_over_a_metrics_row_of_the_wrong_length_is_one_format_error(tmp_path, capsys, tiny_teacher,
+                                                                               interrupted_run, edit):
+    csv, err = _resume_over_edited_csv(tmp_path, capsys, tiny_teacher["ckpt"], interrupted_run, edit)
+    assert err.startswith(f"error: FormatError: metrics file {csv} line 2: ") and err.count("\n") == 1
+    assert "header has" in err
 
 
 def test_cli_resume_refuses_another_teacher(tmp_path, capsys, tiny_teacher, interrupted_run):
@@ -555,7 +569,7 @@ def _config_parsers():
 @pytest.mark.parametrize("command", ["train-teacher", "distill", "eval"])
 def test_every_config_field_has_exactly_one_flag(command):
     actions = _config_parsers()[command]._actions
-    legacy = {"pos_scale": "--pos-denom", "prune_rate0": "--prune-rate"}
+    legacy = {"prune_rate0": "--prune-rate"}
     for f in fields(TrainConfig):
         (action,) = [a for a in actions if a.dest == f.name]
         flag = legacy.get(f.name, "--" + f.name.replace("_", "-"))
@@ -566,8 +580,8 @@ def test_every_config_field_has_exactly_one_flag(command):
 _OFF_DEFAULT = dict(
     out_dir="o", seed=3, deterministic=True, dataset="synthetic", data_dir="d", classes=5, synth_train=7,
     synth_test=3, epochs=4, batch_size=9, lr=0.5, momentum=0.5, weight_decay=0.0, lr_drops=(1, 3),
-    lr_drop_factor=0.5, depth="student38", variant="homogeneous", extent=5, heads=4, pos_scale="sqrt",
-    alpha=0.25, beta=2.5, temperature=2.0, map_power=3.0, temperature_sq_correction=False, density=0.5,
+    lr_drop_factor=0.5, depth="student38", variant="homogeneous", extent=5, heads=4, alpha=0.25,
+    beta=2.5, temperature=2.0, temperature_sq_correction=False, density=0.5,
     prune_mode="column", prune_rate0=0.25, stem_prunable=False,
 )
 
@@ -672,8 +686,7 @@ def test_cli_distill_with_a_non_positive_spec_count_is_one_config_error(tmp_path
 @pytest.mark.parametrize("field, value, named", [
     ("heads", 0, "heads"), ("widths", [0, 8, 16], "widths[0]"), ("expansion", 0, "expansion"),
     ("heads", -2, "heads"), ("widths", [4, 8.0, 16], "widths[1]"), ("heads", True, "heads"),
-    ("pos_scale", "x", "pos_scale"),
-], ids=["heads0", "width0", "expansion0", "negative_heads", "float_width", "bool_heads", "bad_pos_scale"])
+], ids=["heads0", "width0", "expansion0", "negative_heads", "float_width", "bool_heads"])
 def test_cli_eval_on_a_bad_spec_count_is_one_format_error(tmp_path, capsys, interrupted_run,
                                                            field, value, named):
     manifest, arrays, masks = load_checkpoint(interrupted_run)
@@ -685,6 +698,27 @@ def test_cli_eval_on_a_bad_spec_count_is_one_format_error(tmp_path, capsys, inte
     assert cli_main(["eval", "--ckpt", path, "--dataset", "synthetic"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value", [("pos_scale", "fourth-root"), ("stem_width", 0)])
+def test_cli_eval_refuses_a_checkpoint_whose_spec_holds_a_removed_field(tmp_path, capsys, interrupted_run,
+                                                                        field, value):
+    """A checkpoint written while the model spec still had this field, set to its old default."""
+    manifest, arrays, masks = load_checkpoint(interrupted_run)
+    manifest["model_spec"][field] = value
+    path = str(tmp_path / "old.atlt")
+    save_checkpoint(path, manifest, arrays, masks)
+    assert cli_main(["eval", "--ckpt", path, "--dataset", "synthetic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: FormatError: checkpoint {path} has no valid model_spec ")
+    assert err.count("\n") == 1 and field in err
+
+
+def test_cli_config_file_with_a_removed_field_is_one_config_error(tmp_path, capsys):
+    cfg_file = tmp_path / "old.json"
+    cfg_file.write_text(json.dumps({"map_power": 2.0, "pos_scale": "fourth-root"}))
+    assert cli_main(["eval", "--config", str(cfg_file), "--ckpt", str(tmp_path / "x.atlt")]) == 1
+    assert capsys.readouterr().err == "error: ConfigError: unknown config fields: ['map_power', 'pos_scale']\n"
 
 
 def test_cli_eval_on_a_flipped_parameter_name_is_one_format_error(tmp_path, capsys):
@@ -852,6 +886,21 @@ def test_cli_non_finite_config_float_is_one_config_error(tmp_path, capsys, entry
     assert err.startswith("error: ConfigError: ") and err.count("\n") == 1 and f"field {named} " in err
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable CPU")
+@pytest.mark.parametrize("env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)], ids=["default", "chosen"])
+def test_the_package_runs_blas_on_one_thread_unless_the_caller_chose(env, threads):
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    clean = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    clean["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), root, os.environ.get("PYTHONPATH", "")])
+    probe = "import attndistill.cli; from perfbench.runner import blas_threads_runtime; print(blas_threads_runtime())"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(clean, **env), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "None":
+        pytest.skip("the loaded BLAS reports no thread count")
+    assert int(proc.stdout) == threads
+
+
 def test_cli_subprocess_exit_codes(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "attndistill.cli", "report", "--teacher", "/missing.atlt",
@@ -891,6 +940,14 @@ def test_metrics_csv_read_write_roundtrip(tmp_path):
     rows = RunMetrics.read(str(path))
     assert rows[0]["total_loss"] == 1.5
     assert rows[0]["d:b.w"] == 0.3
+
+
+@pytest.mark.parametrize("row", ["0,0.1", "0,0.1,1.5,2"], ids=["short", "long"])
+def test_metrics_row_of_the_wrong_length_is_a_format_error(tmp_path, row):
+    path = tmp_path / "m.csv"
+    path.write_text(f"epoch,lr,total_loss\n0,0.1,1.5\n{row}\n")
+    with pytest.raises(FormatError, match=f"metrics file {re.escape(str(path))} line 3: "):
+        RunMetrics.read(str(path))
 
 
 def test_distill_without_stem_pruning_reports_and_evaluates(tmp_path, tiny_teacher):
