@@ -29,12 +29,14 @@ faults and usable CPU count to stderr, so a memory change can be
 compared with the same command. That `maxrss` is bimodal on a single
 tree: repeated runs of one checkout read either of two values about 91
 MB apart (probably heap placement). So a memory comparison needs several
-runs per side. Last it prints the line count of `src/attndistill/*.py`
-(what `wc -l` counts), the project's size measure, so that size and
-digests come from one command.
+runs per side. Last it prints the project's two size measures: the line
+count of `src/attndistill/*.py` (what `wc -l` counts), then the option
+count, as `TrainConfig F fields, ModelSpec M fields`, so that size,
+options and digests come from one command.
 """
 
 import contextlib
+import dataclasses
 import glob
 import hashlib
 import os
@@ -67,7 +69,7 @@ def run_fixtures():
     rc = cli.main(["distill", "--teacher", teacher, "--out-dir", "toy-distill", "--epochs", "3",
                    "--lr", "0.003", "--density", "0.25", "--prune-mode", "irregular",
                    "--variant", "hybrid", "--alpha", "0.1", "--beta", "1000", "--temperature", "4",
-                   "--prune-rate", "0.5", "--dataset", "synthetic", "--synth-train", "400",
+                   "--prune-rate0", "0.5", "--dataset", "synthetic", "--synth-train", "400",
                    "--synth-test", "200", "--classes", "2", "--batch-size", "50", "--depth", "toy",
                    "--heads", "2", "--extent", "3", "--seed", "7", "--deterministic"])
     if rc != 0:
@@ -134,6 +136,8 @@ def main():
         with open(path, "rb") as f:
             lines += f.read().count(b"\n")
     print(f"src/attndistill/*.py {lines} lines", file=sys.stderr)
+    print(f"TrainConfig {len(dataclasses.fields(TrainConfig))} fields, "
+          f"ModelSpec {len(dataclasses.fields(models.ModelSpec))} fields", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,8 @@
 
 Subcommands: train-teacher, distill, eval, report, gradcheck. In the first
 three every TrainConfig field is a flag `--field-name` (`--lr-drops 18 24 27`;
-a boolean also has `--no-field-name`), except that `prune_rate0` is
-`--prune-rate`. A JSON file (--config) may supply any field and explicit
-flags win. Abbreviated flags are refused.
+a boolean also has `--no-field-name`). A JSON file (--config) may supply
+any field and explicit flags win. Abbreviated flags are refused.
 Exits 0 on success; every failure, a bad flag included, prints one line
 `error: <Kind>: <message>` to stderr and exits 1.
 """
@@ -18,7 +17,6 @@ from dataclasses import fields
 from .config import CHOICES, TrainConfig
 from .errors import AttnDistillError, ConfigError
 
-_LEGACY_FLAGS = {"prune_rate0": "--prune-rate"}
 # field annotation -> how its flag parses
 _FLAG_KINDS = {"int": dict(type=int), "float": dict(type=float), "str": {},
                "bool": dict(action=argparse.BooleanOptionalAction), "tuple": dict(nargs="*", type=int)}
@@ -41,8 +39,7 @@ def _add_config_flags(p):
         kind = dict(_FLAG_KINDS[f.type])
         if f.name in CHOICES:
             kind["choices"] = CHOICES[f.name]
-        flag = _LEGACY_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
-        p.add_argument(flag, dest=f.name, default=None, **kind)
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None, **kind)
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -88,7 +85,7 @@ def _run(args) -> int:
         print(f"student checkpoint: {ckpt}")
         return 0
     if args.command == "eval":
-        _, test_ds = TR.load_datasets(cfg)
+        _, test_ds = TR.load_datasets(cfg, train=False)
         acc = TR.evaluate(args.ckpt, test_ds, cfg.batch_size)
         print(f"accuracy: {acc:.4f}")
         return 0

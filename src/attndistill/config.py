@@ -2,7 +2,8 @@
 
 `TrainConfig` extends `distill.DistillConfig`, so the loss weights and
 their range checks are declared once, and a run config is the loss config
-`train` hands to its epoch loop.
+`train` hands to its epoch loop. SGD's momentum 0.9 and the x0.1 drop at
+each `lr_drops` epoch are fixed parts of the recipe, not fields.
 
 A JSON config file may supply any field; explicit CLI flags override the
 file, and everything else falls back to the defaults below. `CHOICES` maps
@@ -61,10 +62,8 @@ class TrainConfig(DistillConfig):
     epochs: int = 30
     batch_size: int = 100
     lr: float = 0.1
-    momentum: float = 0.9
     weight_decay: float = 1e-4
     lr_drops: tuple = (18, 24, 27)
-    lr_drop_factor: float = 0.1
     # model
     depth: str = "toy"
     variant: str = "hybrid"
@@ -90,14 +89,12 @@ class TrainConfig(DistillConfig):
         for name, least in _LEAST.items():
             if getattr(self, name) < least:
                 raise ConfigError(f"config field {name} must be >= {least}, got {getattr(self, name)!r}")
-        if self.lr <= 0 or not 0 <= self.momentum < 1:
-            raise ConfigError("need lr > 0 and momentum in [0, 1)")
+        if self.lr <= 0:
+            raise ConfigError(f"config field lr must be > 0, got {self.lr!r}")
         if not 0 < self.density <= 1:
             raise ConfigError(f"density must be in (0, 1], got {self.density}")
         if not 0 <= self.prune_rate0 < 1:
             raise ConfigError(f"prune_rate0 must be in [0, 1), got {self.prune_rate0}")
-        if self.lr_drop_factor <= 0:
-            raise ConfigError(f"config field lr_drop_factor must be > 0, got {self.lr_drop_factor!r}")
         self.lr_drops = tuple(int(e) for e in self.lr_drops)
         if any(e < 0 for e in self.lr_drops):
             raise ConfigError(f"config field lr_drops must hold epochs >= 0, got {list(self.lr_drops)}")

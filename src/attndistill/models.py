@@ -36,7 +36,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import SelfAttention
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
 VARIANTS = ("conv", "hybrid", "homogeneous")
@@ -289,20 +289,10 @@ def build_model(spec: ModelSpec, rng) -> Model:
 
 
 def count_params(model: Model, masks: dict | None = None):
-    """(total, nonzero) trainable scalar counts; masks zero out prunable entries."""
-    params = model.named_params()
-    total = sum(t.size for t in params.values())
-    if masks is None:
-        return total, total
-    prunable = model.prunable(include_stem=any(n.startswith("stem.") for n in masks))
-    if set(masks) != set(prunable):
-        raise ContractError("masks must cover exactly the prunable parameter set")
-    masked_off = 0
-    for name, mask in masks.items():
-        if mask.shape != prunable[name].shape:
-            raise ContractError(f"mask shape {mask.shape} != param shape {prunable[name].shape} for {name}")
-        masked_off += int(mask.size - np.count_nonzero(mask))
-    return total, total - masked_off
+    """(total, nonzero) trainable scalar counts: the total less each mask's
+    zeros. Masks are audited where they enter (`sparse.audit_coverage`)."""
+    total = sum(t.size for t in model.named_params().values())
+    return total, total - sum(m.size - int(np.count_nonzero(m)) for m in (masks or {}).values())
 
 
 def count_flops(model: Model, masks: dict | None = None) -> int:

@@ -70,7 +70,6 @@ def decay_prune_rate(p0: float, epoch: int, total_epochs: int) -> float:
 @dataclass
 class SparseState:
     mode: str
-    density: float
     prune_rate0: float
     masks: dict = field(default_factory=dict)  # name -> {0,1} array, weight-shaped
     target_nonzero: int = 0
@@ -132,7 +131,7 @@ def init_mask(model: Model, density: float, rng, mode: str = "irregular",
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    state = SparseState(mode=mode, density=density, prune_rate0=prune_rate0, include_stem=include_stem)
+    state = SparseState(mode=mode, prune_rate0=prune_rate0, include_stem=include_stem)
     for name, p in model.prunable(include_stem=include_stem).items():
         mask = np.zeros(p.shape, dtype=p.data.dtype)
         units = _units(mask, mode)

@@ -46,9 +46,9 @@ from .tensor import no_grad
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:
-    """Step schedule: multiply by the drop factor after each drop epoch."""
+    """Step schedule: `cfg.lr`, multiplied by 0.1 at each `cfg.lr_drops` epoch."""
     drops = sum(1 for d in cfg.lr_drops if epoch >= d)
-    return cfg.lr * cfg.lr_drop_factor**drops
+    return cfg.lr * 0.1**drops
 
 
 # --- metrics ---
@@ -103,32 +103,30 @@ class RunMetrics:
 # --- datasets ---
 
 
-def load_datasets(cfg: TrainConfig):
+def load_datasets(cfg: TrainConfig, train: bool = True):
+    """(train, test) splits of `cfg.dataset`; with `train=False` the first is
+    None and no CIFAR training file is read."""
     if cfg.dataset == "synthetic":
         # one pool so train and test share the class templates; the
         # round-robin labels keep both splits balanced
         pool = D.synthetic_dataset(cfg.synth_train + cfg.synth_test, cfg.classes, cfg.seed + 1000)
-        train = D.Dataset(pool.images[: cfg.synth_train], pool.labels[: cfg.synth_train], cfg.classes)
-        test = D.Dataset(pool.images[cfg.synth_train :], pool.labels[cfg.synth_train :], cfg.classes)
-        return train, test
+        n = cfg.synth_train
+        test = D.Dataset(pool.images[n:], pool.labels[n:], cfg.classes)
+        return (D.Dataset(pool.images[:n], pool.labels[:n], cfg.classes) if train else None), test
     if not cfg.data_dir:
         raise ConfigError(f"dataset {cfg.dataset!r} requires --data-dir")
-    if cfg.dataset == "cifar10":
-        train_files = sorted(glob.glob(os.path.join(cfg.data_dir, "data_batch_*.bin")))
-        test_files = [os.path.join(cfg.data_dir, "test_batch.bin")]
-    else:
-        train_files = [os.path.join(cfg.data_dir, "train.bin")]
-        test_files = [os.path.join(cfg.data_dir, "test.bin")]
-    if not train_files:
-        raise FileNotFoundError(f"no training files for {cfg.dataset} under {cfg.data_dir}")
-    parts = [D.load_cifar_binary(p, cfg.classes) for p in train_files]
-    train = D.Dataset(
-        np.concatenate([p.images for p in parts]),
-        np.concatenate([p.labels for p in parts]),
-        cfg.classes,
-    )
-    test = D.load_cifar_binary(test_files[0], cfg.classes)
-    return train, test
+    cifar10 = cfg.dataset == "cifar10"
+    train_ds = None
+    if train:
+        train_files = (sorted(glob.glob(os.path.join(cfg.data_dir, "data_batch_*.bin"))) if cifar10
+                       else [os.path.join(cfg.data_dir, "train.bin")])
+        if not train_files:
+            raise FileNotFoundError(f"no training files for {cfg.dataset} under {cfg.data_dir}")
+        parts = [D.load_cifar_binary(p, cfg.classes) for p in train_files]
+        train_ds = D.Dataset(np.concatenate([p.images for p in parts]),
+                             np.concatenate([p.labels for p in parts]), cfg.classes)
+    test_file = os.path.join(cfg.data_dir, "test_batch.bin" if cifar10 else "test.bin")
+    return train_ds, D.load_cifar_binary(test_file, cfg.classes)
 
 
 # --- checkpoint plumbing ---
@@ -137,7 +135,7 @@ def load_datasets(cfg: TrainConfig):
 # the record table's prefixes, named as its errors name them
 _NOUNS = {"param": "parameter", "buf": "buffer", "opt": "velocity"}
 # the manifest's `sparse` record: these SparseState fields, no others
-_SPARSE_KEYS = ("mode", "density", "prune_rate0", "target_nonzero", "include_stem")
+_SPARSE_KEYS = ("mode", "prune_rate0", "target_nonzero", "include_stem")
 # an rng stand-in whose draws are zeros, for a model whose every value is then loaded
 _NO_DRAWS = SimpleNamespace(standard_normal=np.zeros, uniform=lambda low, high, size: np.zeros(size))
 
@@ -197,7 +195,6 @@ def _restore(path, model: Model, manifest: dict, arrays: dict, masks: dict,
     meta, state = manifest.get("sparse"), None
     if meta is not None or masks:
         if (not isinstance(meta, dict) or sorted(meta) != sorted(_SPARSE_KEYS) or meta["mode"] not in S.MODES
-                or not (_finite(meta["density"]) and 0 < meta["density"] <= 1)
                 or not _finite(meta["prune_rate0"]) or type(meta["include_stem"]) is not bool
                 or type(meta["target_nonzero"]) is not int or meta["target_nonzero"] < 0):
             raise FormatError(f"checkpoint {path} holds {len(masks)} masks and the sparse record {meta!r}")
@@ -376,7 +373,7 @@ def train_teacher(cfg: TrainConfig):
     spec = spec_by_name(cfg.depth, "teacher", cfg.variant, cfg.classes, cfg.extent, cfg.heads)
     train_ds, test_ds = load_datasets(cfg)
     model = build_model(spec, np.random.default_rng([cfg.seed, 1]))
-    opt = SGD(model.named_params(), cfg.lr, cfg.momentum, cfg.weight_decay)
+    opt = SGD(model.named_params(), cfg.lr, weight_decay=cfg.weight_decay)
     return _fit(cfg, model, opt, train_ds, test_ds)
 
 
@@ -448,7 +445,7 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None):
         start_epoch = _resume_epoch(loaded[0], cfg, resume, teacher_sha256)
     # a resumed student takes every value from the file, so it draws none
     student = build_model(student_spec, _NO_DRAWS if loaded else np.random.default_rng([cfg.seed, 2]))
-    opt = SGD(student.named_params(), cfg.lr, cfg.momentum, cfg.weight_decay)
+    opt = SGD(student.named_params(), cfg.lr, weight_decay=cfg.weight_decay)
     if loaded:
         state = _restore(resume, student, *loaded, opt)
         del loaded  # copied into the student and the optimizer; not held through the run
@@ -469,8 +466,8 @@ def report(teacher_ckpt, student_ckpt) -> dict:
     """Parameter and FLOP accounting for a (teacher, student) pair."""
     teacher, _, t_masks, _ = _model_of_role(teacher_ckpt, "teacher", "--teacher")
     student, _, s_masks, _ = _model_of_role(student_ckpt, "student", "--student")
-    t_total, t_nonzero = count_params(teacher, t_masks or None)
-    s_total, s_nonzero = count_params(student, s_masks or None)
+    t_total, t_nonzero = count_params(teacher, t_masks)
+    s_total, s_nonzero = count_params(student, s_masks)
     t_flops, s_flops = count_flops(teacher), count_flops(student)
     t_nz_flops, s_nz_flops = count_flops(teacher, t_masks), count_flops(student, s_masks)
     return {

@@ -43,8 +43,7 @@ from conftest import tiny_config
 
 
 def test_lr_schedule_matches_reference_table():
-    cfg = TrainConfig(epochs=200, lr=0.1, lr_drops=(120, 160, 180), lr_drop_factor=0.1,
-                      dataset="synthetic", classes=2)
+    cfg = TrainConfig(epochs=200, lr=0.1, lr_drops=(120, 160, 180), dataset="synthetic", classes=2)
     table = {0: 0.1, 119: 0.1, 120: 0.01, 159: 0.01, 160: 0.001, 179: 0.001, 180: 1e-4, 199: 1e-4}
     for epoch, expected in table.items():
         assert lr_at(cfg, epoch) == pytest.approx(expected)
@@ -229,12 +228,23 @@ def interrupted_run(tmp_path_factory, tiny_teacher):
     return _interrupted(tiny_config(out, **RESUMED_RUN), tiny_teacher["ckpt"], 1)
 
 
-@pytest.mark.parametrize("field,value", [("seed", 8), ("density", 0.9), ("epochs", 3), ("alpha", 0.5)])
+@pytest.mark.parametrize("field,value", [("seed", 8), ("density", 0.9), ("epochs", 3), ("alpha", 0.5),
+                                         ("momentum", 0.9)])
 def test_resume_refuses_a_different_run(tmp_path, tiny_teacher, interrupted_run, field, value):
-    cfg = tiny_config(tmp_path, **dict(RESUMED_RUN, **{field: value}))
+    """A config field set otherwise, or, for a field the config no longer has,
+    a rolling file whose stored config still holds it."""
+    resume, out = interrupted_run, tmp_path / "out"
+    if field in {f.name for f in fields(TrainConfig)}:
+        cfg = tiny_config(out, **dict(RESUMED_RUN, **{field: value}))
+    else:
+        cfg = tiny_config(out, **RESUMED_RUN)
+        manifest, arrays, masks = load_checkpoint(interrupted_run)
+        manifest["config"][field] = value
+        resume = str(tmp_path / "old.atlt")
+        save_checkpoint(resume, manifest, arrays, masks)
     with pytest.raises(ConfigError, match=f"different run: {field} "):
-        sparse_distill(cfg, tiny_teacher["ckpt"], resume=interrupted_run)
-    assert not os.listdir(tmp_path)
+        sparse_distill(cfg, tiny_teacher["ckpt"], resume=resume)
+    assert not out.exists()
 
 
 def test_resume_refuses_a_teacher_checkpoint(tmp_path, tiny_teacher):
@@ -569,20 +579,18 @@ def _config_parsers():
 @pytest.mark.parametrize("command", ["train-teacher", "distill", "eval"])
 def test_every_config_field_has_exactly_one_flag(command):
     actions = _config_parsers()[command]._actions
-    legacy = {"prune_rate0": "--prune-rate"}
     for f in fields(TrainConfig):
         (action,) = [a for a in actions if a.dest == f.name]
-        flag = legacy.get(f.name, "--" + f.name.replace("_", "-"))
+        flag = "--" + f.name.replace("_", "-")
         assert action.option_strings == ([flag, "--no-" + flag[2:]] if f.type == "bool" else [flag])
 
 
 # every field off its default; `dataset` is left synthetic in the first row so that `classes` counts
 _OFF_DEFAULT = dict(
     out_dir="o", seed=3, deterministic=True, dataset="synthetic", data_dir="d", classes=5, synth_train=7,
-    synth_test=3, epochs=4, batch_size=9, lr=0.5, momentum=0.5, weight_decay=0.0, lr_drops=(1, 3),
-    lr_drop_factor=0.5, depth="student38", variant="homogeneous", extent=5, heads=4, alpha=0.25,
-    beta=2.5, temperature=2.0, temperature_sq_correction=False, density=0.5,
-    prune_mode="column", prune_rate0=0.25, stem_prunable=False,
+    synth_test=3, epochs=4, batch_size=9, lr=0.5, weight_decay=0.0, lr_drops=(1, 3), depth="student38",
+    variant="homogeneous", extent=5, heads=4, alpha=0.25, beta=2.5, temperature=2.0,
+    temperature_sq_correction=False, density=0.5, prune_mode="column", prune_rate0=0.25, stem_prunable=False,
 )
 
 
@@ -619,16 +627,18 @@ def test_flags_build_the_config_that_a_config_file_builds(tmp_path, values):
     (["train-teacher", "--synth-train", "-5"], "field synth_train "),
     (["train-teacher", "--synth-test", "0"], "field synth_test "),
     (["train-teacher", "--weight-decay", "-0.1"], "field weight_decay "),
-    (["train-teacher", "--lr-drop-factor", "-2.0"], "field lr_drop_factor "),
-    (["train-teacher", "--lr-drop-factor", "0"], "field lr_drop_factor "),
+    (["train-teacher", "--lr", "0"], "field lr "),
     (["train-teacher", "--lr-drops", "18", "-5"], "field lr_drops "),
+    (["train-teacher", "--momentum", "0.9"], "--momentum"),
+    (["train-teacher", "--lr-drop-factor", "0.1"], "--lr-drop-factor"),
+    (["distill", "--teacher", "t.atlt", "--prune-rate", "0.5"], "--prune-rate"),
     (["gradcheck", "--seeds", "0"], "gradcheck seeds "),
     (["gradcheck", "--coords", "0"], "gradcheck coords "),
     (["gradcheck", "--coords", "-1"], "gradcheck coords "),
 ], ids=["unknown_choice", "non_integer", "unknown_flag", "abbreviated_flag", "no_teacher", "no_command",
         "negative_seed", "no_classes", "negative_synth_train", "no_synth_test", "negative_weight_decay",
-        "negative_lr_drop_factor", "zero_lr_drop_factor", "negative_lr_drop", "no_gradcheck_seeds",
-        "no_gradcheck_coords", "negative_gradcheck_coords"])
+        "zero_lr", "negative_lr_drop", "removed_momentum", "removed_lr_drop_factor", "removed_prune_rate",
+        "no_gradcheck_seeds", "no_gradcheck_coords", "negative_gradcheck_coords"])
 def test_cli_bad_input_is_one_config_error(tmp_path, capsys, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)
     assert cli_main(argv) == 1
@@ -700,25 +710,31 @@ def test_cli_eval_on_a_bad_spec_count_is_one_format_error(tmp_path, capsys, inte
     assert err.startswith("error: FormatError: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("field, value", [("pos_scale", "fourth-root"), ("stem_width", 0)])
+@pytest.mark.parametrize("record, field, value, refusal", [
+    pytest.param("model_spec", "pos_scale", "fourth-root", "has no valid model_spec ", id="pos_scale-fourth-root"),
+    pytest.param("model_spec", "stem_width", 0, "has no valid model_spec ", id="stem_width-0"),
+    pytest.param("sparse", "density", 0.5, "holds ", id="sparse-density-0.5"),
+])
 def test_cli_eval_refuses_a_checkpoint_whose_spec_holds_a_removed_field(tmp_path, capsys, interrupted_run,
-                                                                        field, value):
-    """A checkpoint written while the model spec still had this field, set to its old default."""
+                                                                        record, field, value, refusal):
+    """A checkpoint written while its model spec or sparse record still had this field, at the run's value."""
     manifest, arrays, masks = load_checkpoint(interrupted_run)
-    manifest["model_spec"][field] = value
+    manifest[record][field] = value
     path = str(tmp_path / "old.atlt")
     save_checkpoint(path, manifest, arrays, masks)
     assert cli_main(["eval", "--ckpt", path, "--dataset", "synthetic"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: FormatError: checkpoint {path} has no valid model_spec ")
+    assert err.startswith(f"error: FormatError: checkpoint {path} {refusal}")
     assert err.count("\n") == 1 and field in err
 
 
 def test_cli_config_file_with_a_removed_field_is_one_config_error(tmp_path, capsys):
     cfg_file = tmp_path / "old.json"
-    cfg_file.write_text(json.dumps({"map_power": 2.0, "pos_scale": "fourth-root"}))
+    cfg_file.write_text(json.dumps({"map_power": 2.0, "pos_scale": "fourth-root", "momentum": 0.9,
+                                    "lr_drop_factor": 0.1}))
     assert cli_main(["eval", "--config", str(cfg_file), "--ckpt", str(tmp_path / "x.atlt")]) == 1
-    assert capsys.readouterr().err == "error: ConfigError: unknown config fields: ['map_power', 'pos_scale']\n"
+    assert capsys.readouterr().err == ("error: ConfigError: unknown config fields: "
+                                       "['lr_drop_factor', 'map_power', 'momentum', 'pos_scale']\n")
 
 
 def test_cli_eval_on_a_flipped_parameter_name_is_one_format_error(tmp_path, capsys):
@@ -800,7 +816,7 @@ def test_buffer_of_one_element_is_format_error(tmp_path, interrupted_run):
         model_from_checkpoint(path)
 
 
-@pytest.mark.parametrize("damage", ["mode", "density", "prune_rate0", "target_nonzero", "include_stem", None])
+@pytest.mark.parametrize("damage", ["mode", "prune_rate0", "target_nonzero", "include_stem", None])
 def test_incomplete_sparse_record_is_one_format_error(tmp_path, capsys, interrupted_run, damage):
     manifest, arrays, masks = load_checkpoint(interrupted_run)
     if damage is None:
@@ -826,8 +842,8 @@ def _with_sparse_value(tmp_path, src, field, value):
 
 @pytest.mark.parametrize("field,value", [
     ("target_nonzero", "x"), ("target_nonzero", True), ("target_nonzero", -1), ("target_nonzero", 2.0),
-    ("density", True), ("density", 0), ("density", 1.5), ("density", float("nan")), ("density", "0.5"),
-    ("prune_rate0", float("inf")), ("prune_rate0", None), ("include_stem", 1), ("mode", ["column"]),
+    ("prune_rate0", float("inf")), ("prune_rate0", None), ("include_stem", 1),
+    pytest.param("mode", ["column"], id="mode-value12"),  # its id from when five more rows preceded it
 ])
 def test_sparse_record_value_of_the_wrong_type_is_format_error(tmp_path, interrupted_run, field, value):
     with pytest.raises(FormatError, match="sparse record"):
@@ -848,8 +864,8 @@ def test_non_numeric_target_is_refused_by_resume_and_eval(tmp_path, capsys, tiny
     assert cli_main(["eval", "--ckpt", path, "--dataset", "synthetic"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: FormatError: ") and err.count("\n") == 1
-    _, _, _, state = model_from_checkpoint(_with_sparse_value(tmp_path, interrupted_run, "density", 1))
-    assert state.density == 1
+    _, _, _, state = model_from_checkpoint(_with_sparse_value(tmp_path, interrupted_run, "prune_rate0", 0))
+    assert state.prune_rate0 == 0
 
 
 def test_resume_from_a_renamed_velocity_is_format_error(tmp_path, tiny_teacher, interrupted_run):
@@ -873,10 +889,9 @@ def test_model_from_checkpoint_draws_no_random_numbers(tiny_teacher, interrupted
 @pytest.mark.parametrize("entry, flags, named", [
     ('"lr": NaN', [], "lr"),
     ('"weight_decay": Infinity', [], "weight_decay"),
-    ('"lr_drop_factor": NaN', [], "lr_drop_factor"),
     ('"temperature": NaN', [], "temperature"),
     ('"lr": 0.1', ["--lr", "nan"], "lr"),
-], ids=["lr", "weight_decay", "lr_drop_factor", "temperature", "lr_flag"])
+], ids=["lr", "weight_decay", "temperature", "lr_flag"])
 def test_cli_non_finite_config_float_is_one_config_error(tmp_path, capsys, entry, flags, named):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text('{"epochs": 1, "synth_train": 20, "synth_test": 10, %s}' % entry)
@@ -911,7 +926,7 @@ def test_cli_subprocess_exit_codes(tmp_path):
     assert proc.stderr.strip().startswith("error: ")
 
 
-def test_cifar_binary_path_through_trainer(tmp_path):
+def test_cifar_binary_path_through_trainer(tmp_path, capsys):
     from attndistill.data import write_cifar_binary
 
     rng = np.random.default_rng(0)
@@ -929,6 +944,13 @@ def test_cifar_binary_path_through_trainer(tmp_path):
     ckpt, metrics = train_teacher(cfg)
     assert os.path.exists(ckpt)
     assert len(metrics.rows) == 1
+    acc = evaluate(ckpt, test_ds, cfg.batch_size)
+    for name in ("data_batch_1.bin", "data_batch_2.bin"):  # eval reads only the test file
+        os.remove(tmp_path / name)
+    capsys.readouterr()
+    assert cli_main(["eval", "--ckpt", ckpt, "--dataset", "cifar10", "--data-dir", str(tmp_path),
+                     "--batch-size", "20"]) == 0
+    assert capsys.readouterr().out == f"accuracy: {acc:.4f}\n"
 
 
 def test_metrics_csv_read_write_roundtrip(tmp_path):
@@ -977,3 +999,6 @@ def test_artifact_digest_script_prints_every_artifact():
         "toy-teacher/teacher.atlt", "toy-teacher/teacher_metrics.csv", "model-structure",
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest, _ in digests)
+    size, options = proc.stderr.splitlines()[-2:]
+    assert re.fullmatch(r"src/attndistill/\*\.py \d+ lines", size)
+    assert re.fullmatch(r"TrainConfig \d+ fields, ModelSpec \d+ fields", options)
