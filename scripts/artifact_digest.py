@@ -29,10 +29,15 @@ faults and usable CPU count to stderr, so a memory change can be
 compared with the same command. That `maxrss` is bimodal on a single
 tree: repeated runs of one checkout read either of two values about 91
 MB apart (probably heap placement). So a memory comparison needs several
-runs per side. Last it prints the project's two size measures: the line
-count of `src/attndistill/*.py` (what `wc -l` counts), then the option
-count, as `TrainConfig F fields, ModelSpec M fields`, so that size,
-options and digests come from one command.
+runs per side. Then it prints a measure that does not depend on the
+allocator, `graph MB: toy-teacher X, toy-student Y, student26 Z`: the
+bytes (tracemalloc, in 10^6) that the recorded graph of one
+cross-entropy step holds before its backward, for the toy teacher and
+the toy hybrid student at 100 images and student26 at 8. Last it prints
+the project's two size measures: the line count of
+`src/attndistill/*.py` (what `wc -l` counts), then the option count, as
+`TrainConfig F fields, ModelSpec M fields`, so that size, options and
+digests come from one command.
 """
 
 import contextlib
@@ -43,6 +48,7 @@ import os
 import resource
 import sys
 import tempfile
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -54,6 +60,8 @@ import numpy as np  # noqa: E402
 
 from attndistill import cli, models, sparse, train  # noqa: E402
 from attndistill.config import TrainConfig  # noqa: E402
+from attndistill.distill import cross_entropy  # noqa: E402
+from attndistill.tensor import Tensor  # noqa: E402
 
 TOY = dict(dataset="synthetic", synth_train=400, synth_test=200, classes=2, batch_size=50,
            depth="toy", heads=2, extent=3, seed=7, deterministic=True)
@@ -113,6 +121,25 @@ def model_structure() -> str:
     return h.hexdigest()
 
 
+def graph_mb() -> str:
+    """MB (10^6 bytes) that one recorded cross-entropy step holds before its backward, per model."""
+    sizes = []
+    for name, spec, batch in (("toy-teacher", models.toy_spec("teacher", "conv"), 100),
+                              ("toy-student", models.toy_spec("student", "hybrid"), 100),
+                              ("student26", models.student_spec("student26"), 8)):
+        model = models.build_model(spec, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.standard_normal((batch, 3, 32, 32)).astype(np.float32))
+        labels = rng.integers(0, spec.classes, batch)
+        tracemalloc.start()
+        try:
+            loss = cross_entropy(model.forward_with_taps(x, training=True)[0], labels)
+            sizes.append(f"{name} {tracemalloc.get_traced_memory()[0] / 1e6:.1f}")
+        finally:
+            tracemalloc.stop()
+    return "graph MB: " + ", ".join(sizes)
+
+
 def main():
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -131,6 +158,7 @@ def main():
     usage = resource.getrusage(resource.RUSAGE_SELF)
     print(f"maxrss {usage.ru_maxrss / 1024:.1f} MB, minor faults {usage.ru_minflt}, "
           f"cpus {len(os.sched_getaffinity(0))}", file=sys.stderr)
+    print(graph_mb(), file=sys.stderr)
     lines = 0
     for path in glob.glob(os.path.join(SRC, "attndistill", "*.py")):
         with open(path, "rb") as f:

@@ -7,8 +7,10 @@ each `lr_drops` epoch are fixed parts of the recipe, not fields.
 
 A JSON config file may supply any field; explicit CLI flags override the
 file, and everything else falls back to the defaults below. `CHOICES` maps
-each closed-set field to the tuple its implementing module declares. The
-full resolved config is embedded in every checkpoint manifest and metrics run.
+each closed-set field to the tuple its implementing module declares. A
+CIFAR dataset fixes `classes`: flags or a file may restate its count (so
+stored configs load) but not give another. The full resolved config is
+embedded in every checkpoint manifest and metrics run.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .models import DEPTHS, VARIANTS
 from .sparse import MODES
 
 CHOICES = {"dataset": DATASETS, "depth": DEPTHS, "variant": VARIANTS, "prune_mode": MODES}
+# the class count of each CIFAR dataset, which a run may restate but not change
+_CIFAR_CLASSES = {"cifar10": 10, "cifar100": 100}
 # the least value of each count or non-negative field
 _LEAST = {"seed": 0, "classes": 1, "synth_train": 1, "synth_test": 1, "epochs": 1, "batch_size": 1,
           "weight_decay": 0}
@@ -82,10 +86,7 @@ class TrainConfig(DistillConfig):
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"config field {name} must be one of {allowed}, got {getattr(self, name)!r}")
-        if self.dataset == "cifar10":
-            self.classes = 10
-        elif self.dataset == "cifar100":
-            self.classes = 100
+        self.classes = _CIFAR_CLASSES.get(self.dataset, self.classes)
         for name, least in _LEAST.items():
             if getattr(self, name) < least:
                 raise ConfigError(f"config field {name} must be >= {least}, got {getattr(self, name)!r}")
@@ -116,6 +117,9 @@ class TrainConfig(DistillConfig):
         for name, value in d.items():
             if not _fits(value, kinds[name]):
                 raise ConfigError(f"config field {name} must be {_KINDS[kinds[name]][1]}, got {value!r}")
+        fixed = _CIFAR_CLASSES.get(d.get("dataset"))
+        if fixed is not None and d.get("classes", fixed) != fixed:
+            raise ConfigError(f"dataset {d['dataset']} has {fixed} classes, config field classes says {d['classes']}")
         return cls(**d)
 
     @classmethod

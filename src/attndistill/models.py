@@ -194,9 +194,10 @@ class Bottleneck:
         self.out_channels = out
 
     def forward(self, x, training):
-        # with no graph recorded, BN, ReLU and the add write into the arrays
-        # this block's layers made; x is the shortcut, and may be a stage's
-        # tap, so it is never written
+        # BN, ReLU and the add may write into the arrays this block's layers
+        # made, which nothing reads again (while recording, only ReLU and the
+        # add do, see tensor's memory contract); x is the shortcut, and may
+        # be a stage's tap, so it is never written
         h = T.relu(self.bn1.forward(self.conv1.forward(x), training, overwrite=True), overwrite=True)
         h = T.relu(self.bn2.forward(self.spatial.forward(h), training, overwrite=True), overwrite=True)
         h = self.bn3.forward(self.conv3.forward(h), training, overwrite=True)

@@ -18,28 +18,28 @@ stride-1 `conv2d` reads its input as the column matrix, and `batch_norm`
 rebuilds its normalized input from `x` and two per-channel vectors.
 Beyond inputs and outputs, any other `conv2d` keeps its im2col copy and
 `local_attention` its queries, padded keys and values and softmax
-weights. So an activation is read-only once an op has recorded it:
-writing into a recorded input or output in place would change the
-gradients computed from it.
+weights.
 
 Whether an op records a node decides what it keeps, never how it
 computes: every primitive has one forward. An op that records no node
-keeps nothing, and three of them may write their result into an input:
+keeps nothing. Three ops may write their result into an input:
 `batch_norm`, `relu` and `add` (its first operand) do so when the caller
 passes `overwrite=True`, with the same ufuncs in the same order, so the
-bytes are those of a fresh result. The permission comes from the caller
-that made the array, never from the grad mode alone: `grad_check`
-evaluates its function under `no_grad` on its own leaves, and a block's
-input is also its shortcut and a tap. The models grant it only for their
-own conv, attention and pool outputs. `conv2d` runs one loop over chunks
+bytes are those of a fresh result. The grant comes from the caller that
+made the array, never from the grad mode alone, and it means that
+nothing reads the array's values again: neither a later forward op nor
+the backward of the op that made it. `grad_check` evaluates its function
+under `no_grad` on its own leaves, and a block's input is also its
+shortcut and a tap, so the models grant it only for arrays their own
+layers made. With no node recorded all three ops honour it. While
+recording, `relu` and `add` honour it only when the array is a recorded
+op's output, never a leaf, and `batch_norm` never does, because its
+backward reads its input; so a block's graph holds one array for bn ->
+relu and one for bn -> add -> relu. `conv2d` runs one loop over chunks
 of images whatever the mode: a recorded call's one chunk is the whole
 batch, whose column matrix it keeps; any other call builds a column
 matrix for as many images as fit `_COLS_BUDGET` (512 KiB, at least one
-image) in a reused buffer. On the toy conv teacher at B=100 (2-vCPU
-Xeon, one BLAS thread) its no-graph forward took 60 ms with 512 KiB or
-1 MiB chunks, 62 ms with 256 KiB, 66 ms with 128 KiB and 73 ms with
-whole column matrices, against 83-87 ms with neither chunks nor in-place
-writes.
+image) in a reused buffer.
 
 The graph is single-use. As `backward()` passes each node's gradient on
 to its parents, it drops that node's closure and parents, so what the
@@ -221,8 +221,10 @@ def _records(parents) -> bool:
 
 
 def _scratch(a: Tensor, parents, overwrite: bool):
-    """`a`'s array when the op may write its result there, else None."""
-    return a.data if overwrite and not _records(parents) else None
+    """`a`'s array when a granted `relu` or `add` may write its result there,
+    else None: with no node recorded, or into a recorded op's output (never a
+    leaf), since the grant means no backward reads that array's values."""
+    return a.data if overwrite and (a._backward_fn is not None or not _records(parents)) else None
 
 
 def _record(data, parents, backward_fn) -> Tensor:
@@ -632,12 +634,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     on the centred copy that is then normalized, scaled and shifted in
     place into the output. The op keeps only the per-channel mean and
     inverse deviation: the backward rebuilds the normalized input from
-    `x` with the forward's two operations. With `overwrite` (see the
-    memory contract) the centred copy is x's array itself.
+    `x` with the forward's two operations. With `overwrite` and no node
+    recorded (see the memory contract) the centred copy is x's array
+    itself.
     """
     axes, cshape = (0, 2, 3), (1, -1, 1, 1)
     n = x.size // x.shape[1]
-    into = _scratch(x, (x, gamma, beta), overwrite)
+    into = x.data if overwrite and not _records((x, gamma, beta)) else None  # the backward reads x
     if training:
         mean = x.data.mean(axis=axes)
         out = np.subtract(x.data, mean.reshape(cshape), out=into)

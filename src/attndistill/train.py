@@ -287,7 +287,9 @@ def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: M
 
     A step's autodiff graph lives only in `step`'s locals: backward frees
     most of it node by node, and the rest (logits, taps, loss terms) goes
-    when `step` returns, so no two steps' graphs coexist.
+    when `step` returns, so no two steps' graphs coexist. A step drops the
+    last step's gradients before its forward, so they do not live through
+    its graph either.
     """
     kind = model.spec.role
     label, phase = _RUNS[kind]
@@ -297,6 +299,7 @@ def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: M
 
     def step(xb, yb, epoch, t):
         """One optimizer step; returns the logged (total, ce, kd, at)."""
+        opt.zero_grad()  # the last step's gradients go before this step's graph is built
         logits_t, taps_t = None, []
         if need_teacher:
             with no_grad():
@@ -307,7 +310,6 @@ def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: M
         value = loss.item()
         if not math.isfinite(value):
             raise TrainingDiverged(epoch, t, value)
-        opt.zero_grad()
         loss.backward()
         opt.step()
         if state is not None:

@@ -18,6 +18,8 @@ from attndistill.models import (
     teacher50_spec,
     toy_spec,
 )
+import attndistill.tensor as T
+from attndistill.distill import DistillConfig, combine_terms, loss_terms
 from attndistill.tensor import Tensor, no_grad
 
 
@@ -285,3 +287,42 @@ def test_stem_exclusion_switch():
     with_stem = student.prunable(include_stem=True)
     without = student.prunable(include_stem=False)
     assert set(with_stem) - set(without) == {"stem.w"}
+
+
+def _step_bytes(kd_at):
+    """The loss and every parameter gradient of one recorded step, as
+    bytes: cross-entropy for the toy teacher, or KD+AT against it for the
+    toy hybrid student."""
+    teacher, student = _toy_pair()
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((4, 3, 32, 32)).astype(np.float32))
+    y = rng.integers(0, 2, 4)
+    model, cfg, logits_t, taps_t = teacher, DistillConfig(alpha=1.0, beta=0.0), None, []
+    if kd_at:
+        with no_grad():
+            logits_t, taps_t = teacher.forward_with_taps(x)
+        model, cfg = student, DistillConfig(alpha=0.1, beta=1000.0)
+    logits, taps = model.forward_with_taps(x, training=True)
+    loss = combine_terms(*loss_terms(y, logits, logits_t, taps, taps_t, cfg), cfg)
+    loss.backward()
+    return [loss.data.tobytes()] + [t.grad.tobytes() for t in model.named_params().values()]
+
+
+@pytest.mark.parametrize("kd_at", [False, True], ids=["teacher_ce", "student_kd_at"])
+def test_a_step_with_the_granted_writes_has_the_bytes_of_one_without(kd_at, monkeypatch):
+    """Every ReLU and residual add of a recorded step writes into the
+    array of the op before it, and the loss and every gradient keep their
+    bytes against a step in which no op writes in place."""
+    scratch, recorded_writes = T._scratch, []
+
+    def spy(a, parents, overwrite):
+        into = scratch(a, parents, overwrite)
+        recorded_writes.append(into is not None and T._records(parents))
+        return into
+
+    monkeypatch.setattr(T, "_scratch", spy)
+    granted = _step_bytes(kd_at)
+    blocks = sum(toy_spec("student" if kd_at else "teacher", "conv").blocks)
+    assert sum(recorded_writes) == 1 + 4 * blocks  # the stem's ReLU; each block's two ReLUs, add and ReLU
+    monkeypatch.setattr(T, "_scratch", lambda a, parents, overwrite: None)
+    assert _step_bytes(kd_at) == granted

@@ -605,6 +605,38 @@ def test_only_a_granted_op_with_no_graph_writes_into_its_input(name, dtype):
         assert out.data is mine.data and out.data.tobytes() == fresh.tobytes()
 
 
+def _granted_chain(overwrite):
+    """bn -> relu, then bn -> add of the shortcut -> relu, recorded, each
+    op granted `overwrite` or not: the bytes of the output and of every
+    leaf's gradient, and whether relu, the second bn, add and relu wrote
+    into their first operand."""
+    rng = np.random.default_rng(3)
+    x, gamma, beta = (Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+                      for shape in ((3, 4, 5, 5), (4,), (4,)))
+    xs = x.data.copy()
+    h = T.batch_norm(x, gamma, beta, np.zeros(4, np.float32), np.ones(4, np.float32), True, overwrite)
+    r = T.relu(h, overwrite=overwrite)
+    h2 = T.batch_norm(r, gamma, beta, np.zeros(4, np.float32), np.ones(4, np.float32), True, overwrite)
+    s = T.add(h2, x, overwrite=overwrite)
+    out = T.relu(s, overwrite=overwrite)
+    wrote = [r.data is h.data, h2.data is r.data, s.data is h2.data, out.data is s.data]
+    _backward_with(out, rng.standard_normal(out.shape).astype(np.float32))
+    assert x.data.tobytes() == xs.tobytes()  # a leaf, and the shortcut, is never written
+    return [a.tobytes() for a in (out.data, x.grad, gamma.grad, beta.grad)], wrote
+
+
+def test_recorded_relu_and_add_write_into_a_granted_op_output():
+    """While recording, a granted relu or add writes into its first operand
+    when an op made it (a batch norm or an add, whose backward does not
+    read its own output), and the output and gradients keep every byte;
+    a recorded batch norm never writes into its input."""
+    fresh, wrote = _granted_chain(False)
+    assert wrote == [False, False, False, False]
+    granted, wrote = _granted_chain(True)
+    assert wrote == [True, False, True, True]
+    assert granted == fresh
+
+
 def _batch_norm_reference(x, gamma, beta, rm, rv, training, g, momentum=0.1, eps=1e-5):
     """Forward, running buffers and gradients of the batch norm that keeps
     its normalized copy, with np.var for the batch variance."""

@@ -205,6 +205,24 @@ def test_no_step_graph_outlives_its_step(tmp_path, tiny_teacher, monkeypatch):
     assert len(alive) > 2 * 2 * 8 and not any(alive)
 
 
+def test_a_step_drops_the_last_gradients_before_its_forward(tmp_path, tiny_teacher, monkeypatch):
+    """No parameter holds a gradient when a training step's student forward
+    is entered, so one step's gradients never live through the next
+    step's graph."""
+    forward, held = Model.forward_with_taps, []
+
+    def forward_with_taps(model, *args, **kwargs):
+        if kwargs.get("training"):  # the trained model's forward
+            held.append(sum(t.grad is not None for t in model.named_params().values()))
+        return forward(model, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_with_taps", forward_with_taps)
+    cfg = tiny_config(tmp_path, epochs=2, lr=0.01, lr_drops=(), variant="hybrid",
+                      alpha=0.1, beta=10.0, density=0.5)
+    sparse_distill(cfg, tiny_teacher["ckpt"])
+    assert len(held) == 2 * 8 and not any(held)  # 8 steps per epoch
+
+
 def test_teacher_run_has_no_distillation_and_no_masks(tiny_teacher):
     """The teacher goes through the distillation loop with no teacher and no
     masks; its artifacts are those of plain cross-entropy training."""
@@ -585,7 +603,8 @@ def test_every_config_field_has_exactly_one_flag(command):
         assert action.option_strings == ([flag, "--no-" + flag[2:]] if f.type == "bool" else [flag])
 
 
-# every field off its default; `dataset` is left synthetic in the first row so that `classes` counts
+# every field off its default; `dataset` is left synthetic in the first row so that `classes` counts,
+# and the cifar100 row gives the one class count that dataset takes
 _OFF_DEFAULT = dict(
     out_dir="o", seed=3, deterministic=True, dataset="synthetic", data_dir="d", classes=5, synth_train=7,
     synth_test=3, epochs=4, batch_size=9, lr=0.5, weight_decay=0.0, lr_drops=(1, 3), depth="student38",
@@ -594,7 +613,7 @@ _OFF_DEFAULT = dict(
 )
 
 
-@pytest.mark.parametrize("values", [_OFF_DEFAULT, dict(_OFF_DEFAULT, dataset="cifar100")],
+@pytest.mark.parametrize("values", [_OFF_DEFAULT, dict(_OFF_DEFAULT, dataset="cifar100", classes=100)],
                          ids=["synthetic", "cifar100"])
 def test_flags_build_the_config_that_a_config_file_builds(tmp_path, values):
     assert sorted(values) == sorted(f.name for f in fields(TrainConfig))
@@ -654,6 +673,33 @@ def test_cli_config_file_that_is_not_utf8_is_one_config_error(tmp_path, capsys):
     assert cli_main(["train-teacher", "--config", str(cfg_file), "--out-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError: ") and err.count("\n") == 1 and "UTF-8" in err
+
+
+@pytest.mark.parametrize("dataset, count, given", [("cifar10", 10, 3), ("cifar100", 100, 7)])
+def test_a_cifar_dataset_refuses_another_class_count(dataset, count, given):
+    message = f"dataset {dataset} has {count} classes, config field classes says {given}"
+    for load in (lambda d: TrainConfig.load(None, d), TrainConfig.from_dict):
+        with pytest.raises(ConfigError, match=message):
+            load({"dataset": dataset, "classes": given})
+        assert load({"dataset": dataset, "classes": count}).classes == count  # a stored config restates it
+        assert load({"dataset": dataset}).classes == count
+
+
+@pytest.mark.parametrize("source", ["flags", "file"])
+def test_cli_cifar_dataset_with_another_class_count_is_one_config_error(tmp_path, capsys, monkeypatch, source):
+    monkeypatch.chdir(tmp_path)
+    if source == "flags":
+        argv = ["eval", "--ckpt", "x.atlt", "--dataset", "cifar10", "--classes", "3"]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({"dataset": "cifar100", "classes": 7}))
+        argv = ["train-teacher", "--config", "run.json", "--out-dir", "o"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: ConfigError: dataset cifar10 has 10 classes, config field classes says 3\n"
+                            if source == "flags" else
+                            "error: ConfigError: dataset cifar100 has 100 classes, config field classes says 7\n")
+    assert not captured.out
+    assert os.listdir(tmp_path) == ([] if source == "flags" else ["run.json"])
 
 
 def test_cli_subprocess_bad_flag_exits_one_not_two():
@@ -999,6 +1045,7 @@ def test_artifact_digest_script_prints_every_artifact():
         "toy-teacher/teacher.atlt", "toy-teacher/teacher_metrics.csv", "model-structure",
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest, _ in digests)
-    size, options = proc.stderr.splitlines()[-2:]
+    graph, size, options = proc.stderr.splitlines()[-3:]
+    assert re.fullmatch(r"graph MB: toy-teacher \d+\.\d, toy-student \d+\.\d, student26 \d+\.\d", graph)
     assert re.fullmatch(r"src/attndistill/\*\.py \d+ lines", size)
     assert re.fullmatch(r"TrainConfig \d+ fields, ModelSpec \d+ fields", options)
