@@ -19,11 +19,12 @@ without the stem, `count_params`, and `count_flops` unmasked and under
 checkouts and diff the outputs: equal lines mean byte-identical artifacts
 and the same models.
 BLAS runs on one thread, and the ops that use a second CPU (`conv2d`'s
-images and its weight and input gradients, `local_attention`'s heads,
-projections and gradient GEMMs, the non-head splits only above
-`tensor._SPLIT_MACS` multiply-adds per thread) split only work that
+images and its weight and input gradients, `local_attention`'s chunks of
+images and its weight and input gradient GEMMs, all but the chunks only
+above `tensor._SPLIT_MACS` multiply-adds per thread) split only work that
 gives the same bytes in either thread, so the digests must match at one
 and at two CPUs: compare a plain run with one under `taskset -c 0`.
+`DIGESTS.txt` holds the expected lines for each machine fingerprint.
 After the digests it prints the process's peak resident set, minor page
 faults and usable CPU count to stderr, so a memory change can be
 compared with the same command. That `maxrss` is bimodal on a single

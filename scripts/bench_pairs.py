@@ -1,6 +1,7 @@
 """Alternating parent/change benchmark pairs, summed up against the bounds.
 
-Usage: python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seed S [--pairs 10]
+Usage: python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seed S [--pairs 10] [--out FILE]
+       python3 scripts/bench_pairs.py --read FILE
 
 PARENT and CHANGE are two checkouts of the repository. Pair i runs the
 benchmark command of the parent's BENCHMARK.json (`python3
@@ -12,11 +13,23 @@ it then prints each side's median and quartiles, the change in the
 median, and in how many pairs the change did better. It exits 1 if a run
 failed (a nonzero exit, no summary, or `failed` > 0), or if a median of
 the change is worse than the parent's by more than the metric's bound.
+
+`--out BENCH_<PR>_<workload>.json` also writes the evidence as one JSON
+file: every run's summary by pair, with its seed and which side ran
+first; the sha256 of each tree's `src/attndistill/*.py` (names and
+bytes, in name order), since a tree need not be a git checkout; the
+machine fingerprint the runs print (`perfbench.runner.fingerprint`); the
+bounds used; and the printed summary. `--read FILE` recomputes the
+summary from the runs a file holds, prints it, and exits 1 if it differs
+from the one stored or does not pass.
 """
 
 import argparse
+import glob
+import hashlib
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -60,40 +73,85 @@ def summarize(bench: dict, pairs) -> tuple[list, bool]:
     return lines, ok
 
 
+def source_sha256(checkout: str) -> str:
+    """sha256 over the names and bytes of a tree's `src/attndistill/*.py`, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(checkout, "src", "attndistill", "*.py"))):
+        with open(path, "rb") as f:
+            h.update(os.path.basename(path).encode() + b"\0" + f.read())
+    return h.hexdigest()
+
+
 def run_once(checkout: str, command: list) -> dict | None:
-    """The JSON summary a benchmark run prints last, None if it gave none."""
+    """The JSON summary a benchmark run prints last, with the `fingerprint`
+    line it prints as a dict; None if it gave no summary."""
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
     try:
-        summary = json.loads((proc.stdout.strip().splitlines() or [""])[-1])
+        summary = json.loads((lines or [""])[-1])
     except json.JSONDecodeError:
         summary = None
     if proc.returncode != 0 or not isinstance(summary, dict):
         print(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}", file=sys.stderr)
         return None
+    fp = next((line[len("fingerprint "):] for line in lines if line.startswith("fingerprint ")), "")
+    summary["fingerprint"] = dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", fp))
     return summary
+
+
+def write_bench(path: str, bench: dict, workload: str, trees: dict, runs: list, lines: list, ok: bool):
+    """The evidence file of one set of pairs; `runs` holds one dict per pair with
+    its `seed`, the side that ran `first`, and each side's summary."""
+    fingerprint = next((r[side].get("fingerprint", {}) for r in runs for side in ("parent", "change") if r[side]), {})
+    record = {"workload": workload, "end_to_end": bench["end_to_end"], "trees": trees,
+              "fingerprint": fingerprint, "runs": runs, "summary": lines, "ok": ok}
+    with open(path, "w") as f:
+        json.dump(record, f, indent=1)
+        f.write("\n")
+
+
+def read_bench(path: str) -> tuple[list, bool]:
+    """The summary lines recomputed from a file's runs, and whether they equal
+    the stored ones and pass."""
+    with open(path) as f:
+        record = json.load(f)
+    pairs = [(r["parent"], r["change"]) for r in record["runs"]]
+    lines, ok = summarize({"end_to_end": record["end_to_end"]}, pairs)
+    return lines, ok and lines == record["summary"]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent")
-    ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    ap.add_argument("parent", nargs="?")
+    ap.add_argument("change", nargs="?")
+    ap.add_argument("--workload")
+    ap.add_argument("--seed", type=int, help="seed of the first pair")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--out", help="write the runs, tree hashes, fingerprint and summary here")
+    ap.add_argument("--read", help="recompute and check the summary of a file --out wrote")
     args = ap.parse_args(argv)
+    if args.read:
+        lines, ok = read_bench(args.read)
+        print("\n".join(lines))
+        return 0 if ok else 1
+    if None in (args.parent, args.change, args.workload, args.seed):
+        ap.error("PARENT, CHANGE, --workload and --seed are required")
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    pairs = []
+    runs = []
     for i in range(args.pairs):
         command = bench["command"] + ["--workload", args.workload, "--seed", str(args.seed + i),
                                       "--seconds", str(bench["run_seconds"]), "--trace", "0"]
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        runs = {side: run_once(getattr(args, side), command) for side in order}
-        pairs.append((runs["parent"], runs["change"]))
+        runs.append({"seed": args.seed + i, "first": order[0],
+                     **{side: run_once(getattr(args, side), command) for side in order}})
         print(f"pair {i} seed {args.seed + i} ({order[0]} first) done", file=sys.stderr)
-    lines, ok = summarize(bench, pairs)
+    lines, ok = summarize(bench, [(r["parent"], r["change"]) for r in runs])
     print(f"{args.workload}, {args.pairs} pairs from seed {args.seed}")
     print("\n".join(lines))
+    if args.out:
+        trees = {side: {"src_sha256": source_sha256(getattr(args, side))} for side in ("parent", "change")}
+        write_bench(args.out, bench, args.workload, trees, runs, lines, ok)
     return 0 if ok else 1
 
 

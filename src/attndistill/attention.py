@@ -10,11 +10,11 @@ One `SelfAttention` object is one layer: its sizes, its weights and its
 `live` columns, which `sparse.compacted` fills while a column-mode student
 is evaluated. The layer is glue around one autodiff node,
 `tensor.local_attention`, so no reshapes or transposes are recorded. That
-op works channel-major, with queries, keys and values laid out
-(heads, c, H, W, B) from the projection to the output. Keys and values are
-zero-padded by k//2, and each neighbor offset is a shifted slice of the
-padded maps. Slots that fall in the padding get a -1e9 logit bias, so
-their softmax weight is exactly zero.
+op runs a cache-sized chunk of images at a time, channel-major, with
+queries, keys and values laid out (heads, c, H, W, b) from the projection
+to the output. Keys and values are zero-padded by k//2, and each neighbor
+offset is a shifted slice of the padded maps. Slots that fall in the
+padding get a -1e9 logit bias, so their softmax weight is exactly zero.
 """
 
 from __future__ import annotations

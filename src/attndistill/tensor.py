@@ -17,8 +17,8 @@ than a mask, `abspow` recomputes the magnitude from its input, a 1x1
 stride-1 `conv2d` reads its input as the column matrix, and `batch_norm`
 rebuilds its normalized input from `x` and two per-channel vectors.
 Beyond inputs and outputs, any other `conv2d` keeps its im2col copy and
-`local_attention` its queries, padded keys and values and softmax
-weights.
+`local_attention`, per chunk of images, its queries, padded keys and
+values and softmax weights.
 
 Whether an op records a node decides what it keeps, never how it
 computes: every primitive has one forward. An op that records no node
@@ -39,7 +39,8 @@ relu and one for bn -> add -> relu. `conv2d` runs one loop over chunks
 of images whatever the mode: a recorded call's one chunk is the whole
 batch, whose column matrix it keeps; any other call builds a column
 matrix for as many images as fit `_COLS_BUDGET` (512 KiB, at least one
-image) in a reused buffer.
+image) in a reused buffer. `local_attention` chunks both passes by the
+same budget, so an unrecorded call holds one chunk's maps per thread.
 
 The graph is single-use. As `backward()` passes each node's gradient on
 to its parents, it drops that node's closure and parents, so what the
@@ -51,17 +52,18 @@ loss and to the forward's outputs, nothing of the step is left.
 
 Thread contract: tensors are plain arrays, safe to share for read-only
 evaluation; recording state (grad mode, default dtype) is thread-local,
-and gradient accumulation belongs to the single training thread. Three
-sites run the second half of their work in one other thread (`_halves`;
-none with one CPU): `conv2d`'s images, `conv2d`'s weight | input
-gradients, and `local_attention`'s heads, q,k | v projections and
-weight | input gradient GEMMs. Except for the heads, a call splits only
-when each thread's share, counted from the op's shapes, comes to
-`_SPLIT_MACS` (2^25) multiply-adds, so the toy models run inline. That
-thread calls numpy alone, never a Tensor op, with the inline call's
-operands; every reduction stays within one head, image or task, and BLAS
-runs under a fixed thread configuration, so the bytes are the same at one
-and at two CPUs.
+and gradient accumulation belongs to the single training thread. Two
+ops run the second half of their work in one other thread (`_halves`;
+none with one CPU): `conv2d` its images and its weight | input
+gradients, and `local_attention` its chunks of images and its weight |
+input gradient GEMMs. Attention's chunks split whenever there are two or
+more; any other call splits only when each thread's share, counted from
+the op's shapes, comes to `_SPLIT_MACS` (2^25) multiply-adds, so the toy
+models' convolutions and gradient GEMMs run inline. That thread calls
+numpy alone, never a Tensor op, with the inline call's operands; every
+reduction stays within one image, chunk or task, and BLAS runs under a
+fixed thread configuration, so the bytes are the same at one and at two
+CPUs.
 """
 
 from __future__ import annotations
@@ -482,7 +484,7 @@ def _map_halves(fn, items, macs):
 # --- convolution and pooling ---
 
 
-_COLS_BUDGET = 512 << 10  # bytes of column matrix a conv that records no node builds at once
+_COLS_BUDGET = 512 << 10  # bytes of an unrecorded conv's column matrix, or of one attention chunk's map
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, cols: np.ndarray):
@@ -793,23 +795,24 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
     order, projects only those channels, the others' weight rows being
     zero; it is refused while a graph is recorded.
 
-    The arithmetic is that of a channel-major (B, heads, c, H, W)
-    formulation: q, k and v by one BLAS GEMM each, on the live channels
-    when `live` is given, keys and values zero-padded by k//2,
-    and a loop over the k*k offsets in which each neighbor is a shifted
-    slice of the padded maps, so no (B, H*W, k*k, c) neighborhood is
-    materialized. The elementwise loops hold their maps batch-innermost,
-    (heads, c, H, W, B), so every shifted slice is made of contiguous rows
-    of W*B values rather than W (4 on the smallest maps); the gradient
-    GEMMs that sum over the batch take it outermost, in image order. The
-    node keeps the queries, the padded keys and values and the softmax
-    weights; the backward recomputes the scaled queries and the stacked
-    projection matrix and allocates its own scratch. Each pass runs its
-    per-head part, all but the projections and the layout copies around
-    them, on two halves of the head axis in two threads (`_halves`). The
-    q,k | v projections and, in the backward, the weight | input gradient
-    GEMMs run in two threads too when each share comes to `_SPLIT_MACS`
-    multiply-adds (see the thread contract).
+    Both passes run a chunk of images at a time: as many as one
+    (c_out, H, W) map each fits in `_COLS_BUDGET` (at least one), in an
+    even number of near-equal chunks when B allows, so a chunk's maps stay
+    in cache. Per chunk the arithmetic is that of a channel-major
+    (heads, c, H, W, b) formulation: q, k and v by one BLAS GEMM each, on
+    the live channels when `live` is given, keys and values zero-padded by
+    k//2, and a loop over the k*k offsets in which each neighbor is a
+    shifted slice of the padded maps held images-innermost, so no
+    neighborhood is materialized and every slice is made of contiguous
+    rows of W*b values. A recorded node keeps each chunk's queries, padded
+    keys and values and softmax weights. The backward runs per chunk both
+    offset loops, the softmax backward, the `dq` band GEMM, one `dband`
+    GEMM per image and the chunk's columns of the (3 c_out, B*H*W) q/k/v
+    gradient `d`; after the loop the weight | input gradients `x_T @ d.T`
+    and `W_all @ d` run as one GEMM each (see the thread contract). Chunks
+    depend only on the shapes, so the bytes do not depend on the CPU
+    count; they equal the whole batch's where BLAS gives a GEMM's columns
+    the same bytes whatever their count, as at every model shape here.
     """
     B, c_in, H, W = x.shape
     N, span, _, ch = rel_pos.shape
@@ -818,81 +821,89 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
         if w.shape != (c_in, c_out):
             raise ShapeError(f"projection {w.shape} does not map {c_in} channels to {c_out}")
     k = (span + 1) // 2
-    half, K, M = k // 2, k * k, H * W * B
+    half, K, HW = k // 2, k * k, H * W
     offsets = [(i, j) for i in range(k) for j in range(k)]  # slice starts in the padded maps
     dtype = x.data.dtype
     sc, sp = dtype.type(content_scale), dtype.type(position_scale)
-
-    xt = _batch_last(x.data).reshape(c_in, M)
     if live is None:
         live = [(slice(None), w.data.T) for w in (w_q, w_k, w_v)]
     else:
         _contract(not _grad_enabled(), "local_attention reads only live columns when no graph is recorded")
-    q, *kv = _map_halves(lambda p: np.matmul(p[1], xt[p[0]]).reshape(N, ch, H, W, B), live,
-                         min(wmat.size for _, wmat in live) * M)
-    kvp = np.zeros((2, N, ch, H + 2 * half, W + 2 * half, B), dtype=dtype)
-    for padded, proj in zip(kvp, kv):
-        padded[..., half : half + H, half : half + W, :] = proj
+    n = -(-B // max(1, _COLS_BUDGET // (c_out * HW * dtype.itemsize)))
+    n += n % 2 == 1 and 1 < n < B  # an even count splits evenly between the two threads
+    bounds, keep = [B * i // n for i in range(n + 1)], _records((x, w_q, w_k, w_v, rel_pos))
+    kept, y = [None] * n, np.empty((B, c_out, H, W), dtype=dtype)
 
     band = rel_pos.data[:, half : half + k, half : half + k].reshape(N, K, ch)
     inside = np.pad(np.ones((H, W, 1), dtype=dtype), ((half, half), (half, half), (0, 0)))
     bias = np.stack([(1 - inside[i : i + H, j : j + W]) * dtype.type(_NEG) for i, j in offsets])
-    a, out = np.empty((N, K, H, W, B), dtype=dtype), np.zeros_like(q)  # a: logits, then weights
 
-    def forward_heads(hs):
-        qh, (kh, vh), ah, oh = q[hs], kvp[:, hs], a[hs], out[hs]
-        np.matmul(band[hs] * sp, qh.reshape(-1, ch, M), out=ah.reshape(-1, K, M))
-        qc, prod = qh * sc, np.empty_like(qh)
-        for d, (i, j) in enumerate(offsets):
-            np.multiply(qc, kh[..., i : i + H, j : j + W, :], out=prod)
-            ah[:, d] += prod.sum(axis=1)
-        ah += bias
-        if not np.isfinite(ah).all():  # the finite bias neither hides nor makes a non-finite logit
-            raise NumericError("local_attention logits contain non-finite values")
-        ah -= ah.max(axis=1, keepdims=True)
-        np.exp(ah, out=ah)
-        ah /= ah.sum(axis=1, keepdims=True)
-        for d, (i, j) in enumerate(offsets):
-            np.multiply(ah[:, d, None], vh[..., i : i + H, j : j + W, :], out=prod)
-            oh += prod
+    def forward_chunks(part):
+        for c in range(part.start, part.stop):
+            b0, b1 = bounds[c], bounds[c + 1]
+            b, M = b1 - b0, HW * (b1 - b0)
+            xt = _batch_last(x.data[b0:b1]).reshape(c_in, M)
+            q, *kv = (np.matmul(wmat, xt[rows]).reshape(N, ch, H, W, b) for rows, wmat in live)
+            kvp = np.zeros((2, N, ch, H + 2 * half, W + 2 * half, b), dtype=dtype)
+            for padded, proj in zip(kvp, kv):
+                padded[..., half : half + H, half : half + W, :] = proj
+            a = np.matmul(band * sp, q.reshape(N, ch, M)).reshape(N, K, H, W, b)  # logits, then weights
+            qc, prod, out = q * sc, np.empty_like(q), np.zeros_like(q)
+            for o, (i, j) in enumerate(offsets):
+                np.multiply(qc, kvp[0, ..., i : i + H, j : j + W, :], out=prod)
+                a[:, o] += prod.sum(axis=1)
+            a += bias
+            if not np.isfinite(a).all():  # the finite bias neither hides nor makes a non-finite logit
+                raise NumericError("local_attention logits contain non-finite values")
+            a -= a.max(axis=1, keepdims=True)
+            np.exp(a, out=a)
+            a /= a.sum(axis=1, keepdims=True)
+            for o, (i, j) in enumerate(offsets):
+                np.multiply(a[:, o, None], kvp[1, ..., i : i + H, j : j + W, :], out=prod)
+                out += prod
+            y[b0:b1] = out.reshape(c_out, H, W, b).transpose(3, 0, 1, 2)
+            if keep:
+                kept[c] = q, kvp, a
 
-    _halves(N, forward_heads)
+    _halves(n, forward_chunks)
 
     def bw(g):
-        gh = _batch_last(g).reshape(N, ch, H, W, B)
-        dkvp, dq, drel = np.zeros_like(kvp), np.empty_like(q), np.zeros_like(rel_pos.data)
-
-        def backward_heads(hs):
-            qh, ghh, ah, (kh, vh), (dkh, dvh) = q[hs], gh[hs], a[hs], kvp[:, hs], dkvp[:, hs]
-            qc, prod, da = qh * sc, np.empty_like(qh), np.empty_like(ah)
-            for d, (i, j) in enumerate(offsets):
-                np.multiply(ghh, vh[..., i : i + H, j : j + W, :], out=prod)
-                prod.sum(axis=1, out=da[:, d])
-                np.multiply(ah[:, d, None], ghh, out=prod)
-                dvh[..., i : i + H, j : j + W, :] += prod
-            dl = ah * (da - (da * ah).sum(axis=1, keepdims=True))  # softmax backward
-            np.matmul(band[hs].transpose(0, 2, 1) * sp, dl.reshape(-1, K, M), out=dq[hs].reshape(-1, ch, M))
-            dqc = np.zeros_like(qh)
-            for d, (i, j) in enumerate(offsets):
-                dld = dl[:, d, None]
-                np.multiply(dld, kh[..., i : i + H, j : j + W, :], out=prod)
-                dqc += prod
-                np.multiply(dld, qc, out=prod)
-                dkh[..., i : i + H, j : j + W, :] += prod
-            dq[hs] += dqc * sc
-            dl_b = np.ascontiguousarray(dl.reshape(-1, K, H * W, B).transpose(3, 0, 1, 2))
-            q_b = np.ascontiguousarray(qh.reshape(-1, ch, H * W, B).transpose(3, 0, 2, 1))
-            dband = np.matmul(dl_b, q_b).sum(axis=0) * sp
-            drel[hs, half : half + k, half : half + k] = dband.reshape(-1, k, k, ch)
-
-        _halves(N, backward_heads)
-
         # q/k/v gradients as one (3 c_out, B*H*W) matrix, batch outermost
         d = np.empty((3, N, ch, B, H, W), dtype=dtype)
-        d[0] = dq.transpose(0, 1, 4, 2, 3)
-        d[1:] = dkvp[..., half : half + H, half : half + W, :].transpose(0, 1, 2, 5, 3, 4)
-        d = d.reshape(3 * c_out, B * H * W)
-        pairs = [(x.data.transpose(1, 0, 2, 3).reshape(c_in, B * H * W), d.T)]  # dw, then dx
+        dband = np.empty((B, N, K, ch), dtype=dtype)
+
+        def backward_chunks(part):
+            for c in range(part.start, part.stop):
+                b0, b1 = bounds[c], bounds[c + 1]
+                b, M = b1 - b0, HW * (b1 - b0)
+                (q, kvp, a), gh = kept[c], _batch_last(g[b0:b1]).reshape(N, ch, H, W, b)
+                qc, prod, da, dkvp = q * sc, np.empty_like(q), np.empty_like(a), np.zeros_like(kvp)
+                for o, (i, j) in enumerate(offsets):
+                    np.multiply(gh, kvp[1, ..., i : i + H, j : j + W, :], out=prod)
+                    prod.sum(axis=1, out=da[:, o])
+                    np.multiply(a[:, o, None], gh, out=prod)
+                    dkvp[1, ..., i : i + H, j : j + W, :] += prod
+                dl = a * (da - (da * a).sum(axis=1, keepdims=True))  # softmax backward
+                dq = np.matmul(band.transpose(0, 2, 1) * sp, dl.reshape(N, K, M)).reshape(q.shape)
+                dqc = np.zeros_like(q)
+                for o, (i, j) in enumerate(offsets):
+                    dld = dl[:, o, None]
+                    np.multiply(dld, kvp[0, ..., i : i + H, j : j + W, :], out=prod)
+                    dqc += prod
+                    np.multiply(dld, qc, out=prod)
+                    dkvp[0, ..., i : i + H, j : j + W, :] += prod
+                dq += dqc * sc
+                dl_b = np.ascontiguousarray(dl.reshape(N, K, HW, b).transpose(3, 0, 1, 2))
+                q_b = np.ascontiguousarray(q.reshape(N, ch, HW, b).transpose(3, 0, 2, 1))
+                np.matmul(dl_b, q_b, out=dband[b0:b1])
+                d[0, :, :, b0:b1] = dq.transpose(0, 1, 4, 2, 3)
+                d[1:, :, :, b0:b1] = dkvp[..., half : half + H, half : half + W, :].transpose(0, 1, 2, 5, 3, 4)
+
+        _halves(n, backward_chunks)
+        drel = np.zeros_like(rel_pos.data)
+        drel[:, half : half + k, half : half + k] = (dband.sum(axis=0) * sp).reshape(N, k, k, ch)
+        d = d.reshape(3 * c_out, B * HW)
+        pairs = [(x.data.transpose(1, 0, 2, 3).reshape(c_in, B * HW), d.T)]  # dw, then dx
         if x.requires_grad:
             pairs.append((np.concatenate([w_q.data, w_k.data, w_v.data], axis=1), d))
         dw, *dx = _map_halves(lambda ab: ab[0] @ ab[1], pairs, d.size * c_in)
@@ -900,7 +911,6 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
         dw_q, dw_k, dw_v = (np.ascontiguousarray(part) for part in np.split(dw, 3, axis=1))
         return dx, dw_q, dw_k, dw_v, drel
 
-    y = np.ascontiguousarray(out.reshape(c_out, H, W, B).transpose(3, 0, 1, 2))
     return _record(y, (x, w_q, w_k, w_v, rel_pos), bw)
 
 

@@ -32,7 +32,7 @@ from . import sparse as S
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .distill import DistillConfig, combine_terms, loss_terms
-from .errors import ConfigError, ContractError, FormatError, TrainingDiverged
+from .errors import ConfigError, ContractError, FormatError, NumericError, TrainingDiverged
 from .models import (
     Model,
     ModelSpec,
@@ -338,6 +338,10 @@ def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: M
             for k, v in zip(sums, step(xb, yb, epoch, t)):
                 sums[k] += v
             batches_seen += 1
+        # a finite loss can still leave non-finite weights: nothing evaluates or saves them
+        for name, arr in {**{n: t.data for n, t in model.named_params().items()}, **model.named_buffers()}.items():
+            if not np.isfinite(arr).all():
+                raise NumericError(f"{name} is not finite after epoch {epoch}")
         # accuracy reflects the state the epoch trained into; the boundary
         # mask update below prepares the *next* epoch, so the final epoch
         # keeps its trained topology

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import sys
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_pairs.py")
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -50,3 +51,62 @@ def test_a_failed_run_fails_and_leaves_its_pair_out():
     assert not ok
     assert lines[:2] == ["pair 0: the change run failed", "pair 1: the change run failed"]
     assert lines[2].endswith("-10.0%, change better in 1/1")
+
+
+def _runs(pairs):
+    return [{"seed": 40 + i, "first": ("parent", "change")[i % 2], "parent": p, "change": c}
+            for i, (p, c) in enumerate(pairs)]
+
+
+def test_source_hash_covers_the_names_and_bytes_of_the_package_sources(tmp_path):
+    pkg = tmp_path / "src" / "attndistill"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n")
+    (pkg / "notes.txt").write_text("not hashed")
+    first = bench_pairs.source_sha256(str(tmp_path))
+    (pkg / "notes.txt").write_text("still not hashed")
+    assert bench_pairs.source_sha256(str(tmp_path)) == first
+    (pkg / "a.py").rename(pkg / "b.py")
+    assert bench_pairs.source_sha256(str(tmp_path)) != first
+
+
+def test_a_written_file_reads_back_to_its_summary(tmp_path, capsys):
+    pairs = _pairs(((1.0, 40.0), (0.9, 41.0)), ((1.2, 38.0), (1.1, 37.0)), ((1.1, 39.0), None))
+    for pair in pairs:
+        for run in pair:
+            if run:
+                run["fingerprint"] = {"cpu": "x", "numpy": "2"}
+    lines, ok = bench_pairs.summarize(BENCH, pairs)
+    path = tmp_path / "BENCH_1_toy.json"
+    trees = {"parent": {"src_sha256": "a"}, "change": {"src_sha256": "b"}}
+    bench_pairs.write_bench(str(path), BENCH, "toy", trees, _runs(pairs), lines, ok)
+    record = json.loads(path.read_text())
+    assert record["fingerprint"] == {"cpu": "x", "numpy": "2"} and record["trees"] == trees
+    assert [(r["seed"], r["first"]) for r in record["runs"]] == [(40, "parent"), (41, "change"), (42, "parent")]
+    assert record["runs"][2]["change"] is None and record["summary"] == lines and not record["ok"]
+    assert bench_pairs.read_bench(str(path)) == (lines, False)
+    assert bench_pairs.main(["--read", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_reading_a_file_whose_summary_was_edited_fails(tmp_path):
+    pairs = _pairs(((1.0, 40.0), (0.9, 41.0)), ((1.2, 38.0), (1.1, 37.0)))
+    lines, ok = bench_pairs.summarize(BENCH, pairs)
+    assert ok
+    path = tmp_path / "BENCH_1_toy.json"
+    bench_pairs.write_bench(str(path), BENCH, "toy", {}, _runs(pairs), lines, ok)
+    assert bench_pairs.read_bench(str(path)) == (lines, True)
+    record = json.loads(path.read_text())
+    record["summary"][0] = record["summary"][0].replace("-", "+")
+    path.write_text(json.dumps(record))
+    assert bench_pairs.read_bench(str(path)) == (lines, False)
+
+
+def test_a_run_reports_the_fingerprint_line_it_printed(tmp_path):
+    script = tmp_path / "run.py"
+    script.write_text("print('fingerprint nproc=2 cpu=Intel(R) Xeon(R) Processor numpy=2.4.6 blas_threads_pinned=1')\n"
+                      f"print({_line(1.0, 40.0)!r})\n")
+    summary = bench_pairs.run_once(str(tmp_path), [sys.executable, str(script)])
+    assert summary["fingerprint"] == {"nproc": "2", "cpu": "Intel(R) Xeon(R) Processor", "numpy": "2.4.6",
+                                      "blas_threads_pinned": "1"}
+    assert summary["metrics"]["step_s_p50"]["value"] == 1.0

@@ -759,10 +759,10 @@ def _attention_inputs(heads, B=6, ch=3, hw=5, k=3, seed=0):
     return x, ws, rel_pos, rng.standard_normal((B, c, hw, hw)).astype(np.float32)
 
 
-def _attention_bytes(heads):
+def _attention_bytes(heads, B=6):
     """The recorded output and its five gradients, then an unrecorded call
     on a `live` subset of input channels, all as bytes."""
-    x, ws, rel_pos, g = _attention_inputs(heads)
+    x, ws, rel_pos, g = _attention_inputs(heads, B=B)
     c = x.shape[1]
     leaves = [Tensor(a, requires_grad=True) for a in (x, *ws, rel_pos)]
     out = T.local_attention(*leaves, c**-0.5, c**-0.25)
@@ -787,34 +787,56 @@ def _thread_starts(monkeypatch):
     return started
 
 
+def _two_images_per_chunk(monkeypatch, heads):
+    """Shrink `_COLS_BUDGET` to two (c_out, 5, 5) maps of `_attention_inputs`,
+    so 7 images run as 4 chunks of 1, 2, 2 and 2 images."""
+    monkeypatch.setattr(T, "_COLS_BUDGET", 2 * heads * 3 * 25 * 4)
+
+
 @pytest.mark.parametrize("heads", [1, 2, 3, 8])
 def test_local_attention_split_over_two_threads_is_the_inline_call(heads, monkeypatch):
-    """Two halves of the head axis, one in a second thread, give the bytes
-    of the whole axis run inline, as with one CPU. So do the q,k | v
-    projections and the weight | input gradient GEMMs, which these shapes
-    split only with `_SPLIT_MACS` at 0."""
+    """Four unequal chunks of 7 images, the last two in a second thread,
+    give the bytes of the same chunks run inline, as with one CPU, and of
+    the whole batch as one chunk: output, the five gradients and the
+    `live` forward. Each pass starts one thread. So do the weight | input
+    gradient GEMMs side by side, which these shapes split only with
+    `_SPLIT_MACS` at 0."""
     started = _thread_starts(monkeypatch)
+    _two_images_per_chunk(monkeypatch, heads)
     monkeypatch.setattr(T, "_TWO_CPUS", False)
-    inline = _attention_bytes(heads)
+    inline = _attention_bytes(heads, B=7)
     assert not started
     monkeypatch.setattr(T, "_TWO_CPUS", True)
-    assert _attention_bytes(heads) == inline
-    assert len(started) == (3 if heads > 1 else 0)  # forward, backward, live forward
+    assert _attention_bytes(heads, B=7) == inline
+    assert len(started) == 3  # forward, backward, live forward
+    monkeypatch.setattr(T, "_COLS_BUDGET", 1 << 30)
+    assert _attention_bytes(heads, B=7) == inline
+    assert len(started) == 3
     monkeypatch.setattr(T, "_SPLIT_MACS", 0)
-    assert _attention_bytes(heads) == inline
-    assert len(started) == (3 if heads > 1 else 0) + (6 if heads > 1 else 3)  # and projections, gradients
+    assert _attention_bytes(heads, B=7) == inline
+    assert len(started) == 4  # the weight | input gradient GEMMs
+
+
+@pytest.mark.parametrize("B", [1, 6])
+def test_local_attention_in_one_chunk_starts_no_thread(B, monkeypatch):
+    """A batch whose maps fit `_COLS_BUDGET` is one chunk and runs inline."""
+    started = _thread_starts(monkeypatch)
+    monkeypatch.setattr(T, "_TWO_CPUS", True)
+    assert len(_attention_bytes(2, B=B)) == 7
+    assert not started
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # numpy's, from either thread
 def test_local_attention_error_in_the_second_half_raises_in_the_caller(monkeypatch):
     monkeypatch.setattr(T, "_TWO_CPUS", True)
-    x, ws, rel_pos, _ = _attention_inputs(2)
+    _two_images_per_chunk(monkeypatch, 2)
+    x, ws, rel_pos, _ = _attention_inputs(2, B=7)
     c = x.shape[1]
-    bad = ws[0].copy()
-    bad[:, c // 2 :] = np.inf  # only the last head's queries, so only its logits
+    bad = x.copy()
+    bad[5:] = np.inf  # only the last chunk's images, so only the second thread's logits
     threads = threading.active_count()
     with pytest.raises(NumericError, match="local_attention logits"):
-        T.local_attention(*map(Tensor, (x, bad, *ws[1:], rel_pos)), c**-0.5, c**-0.25)
+        T.local_attention(*map(Tensor, (bad, *ws, rel_pos)), c**-0.5, c**-0.25)
     assert threading.active_count() == threads
     out = T.local_attention(*map(Tensor, (x, *ws, rel_pos)), c**-0.5, c**-0.25)
     assert np.isfinite(out.data).all() and threading.active_count() == threads
@@ -825,8 +847,9 @@ def test_local_attention_with_one_cpu_starts_no_thread(monkeypatch):
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(T, "_TWO_CPUS", False)
+    _two_images_per_chunk(monkeypatch, 8)
     monkeypatch.setattr(threading, "Thread", refuse)
-    assert len(_attention_bytes(8)) == 7
+    assert len(_attention_bytes(8, B=7)) == 7
 
 
 # (k, stride, pad, input needs grad, unrecorded call on live columns)
@@ -887,11 +910,11 @@ def test_conv2d_below_the_split_threshold_starts_no_thread(monkeypatch):
     assert counts == [2, 3, 3]
 
 
-def test_toy_models_split_only_their_heads(monkeypatch):
-    """At B=100 every conv, projection and gradient GEMM of the toy models
-    falls below `_SPLIT_MACS`: a training step of the hybrid student starts
-    only the per-head threads, one per attention pass, and the teacher's
-    forward none."""
+def test_toy_models_split_only_their_attention_chunks(monkeypatch):
+    """At B=100 every conv of the toy models falls below `_SPLIT_MACS`, and
+    every attention layer's maps fill more than one chunk: a training step
+    of the hybrid student starts one thread per attention pass, and the
+    teacher's forward none."""
     from attndistill import models
     from attndistill.attention import SelfAttention
 

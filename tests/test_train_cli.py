@@ -559,6 +559,30 @@ def test_cli_train_eval_report_flow(tmp_path, capsys):
     assert "accuracy:" in out and "ratios" in out
 
 
+def test_cli_refuses_non_finite_weights_after_a_finite_loss(tmp_path, capsys, monkeypatch):
+    """A weight made infinite by the first epoch's last step, whose loss was
+    finite, ends the run at that epoch's end in one NumericError line that
+    names it, before evaluation, the metrics file and any checkpoint."""
+    from attndistill.optim import SGD
+
+    real, steps = SGD.step, []
+
+    def step(self):
+        real(self)
+        steps.append(self)
+        if len(steps) == 2:  # 100 images in batches of 50: the first epoch's last step
+            self.params["fc.w"].data[0, 0] = np.inf
+
+    monkeypatch.setattr(SGD, "step", step)
+    monkeypatch.setattr(TR, "evaluate_model", lambda *a: pytest.fail("evaluated non-finite weights"))
+    out = tmp_path / "t"
+    rc = cli_main(["train-teacher", "--out-dir", str(out), "--dataset", "synthetic", "--synth-train", "100",
+                   "--synth-test", "50", "--batch-size", "50", "--epochs", "2", "--depth", "toy"])
+    assert rc == 1 and len(steps) == 2
+    assert capsys.readouterr().err == "error: NumericError: fc.w is not finite after epoch 0\n"
+    assert not list(out.glob("*"))
+
+
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"epochs": 1, "lr": 0.02, "synth_train": 40,
@@ -1032,8 +1056,21 @@ def test_distill_without_stem_pruning_reports_and_evaluates(tmp_path, tiny_teach
     assert evaluate(ckpt, test_ds, cfg.batch_size) == metrics.rows[-1]["test_acc"]
 
 
-def test_artifact_digest_script_prints_every_artifact():
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "artifact_digest.py")
+def _digest_section(path, header):
+    """The lines of `path` under the section line `header`, None if it has no such section."""
+    sections, lines = {}, None
+    with open(path) as f:
+        for line in f.read().splitlines():
+            if line.startswith("["):
+                lines = sections.setdefault(line, [])
+            elif line and not line.startswith("#") and lines is not None:
+                lines.append(line)
+    return sections.get(header)
+
+
+def test_artifact_digest_script_prints_every_artifact(monkeypatch):
+    root = os.path.join(os.path.dirname(__file__), "..")
+    script = os.path.join(root, "scripts", "artifact_digest.py")
     proc = subprocess.run([sys.executable, script], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     digests = [line.split("  ") for line in proc.stdout.splitlines()]
@@ -1049,3 +1086,12 @@ def test_artifact_digest_script_prints_every_artifact():
     assert re.fullmatch(r"graph MB: toy-teacher \d+\.\d, toy-student \d+\.\d, student26 \d+\.\d", graph)
     assert re.fullmatch(r"src/attndistill/\*\.py \d+ lines", size)
     assert re.fullmatch(r"TrainConfig \d+ fields, ModelSpec \d+ fields", options)
+    monkeypatch.syspath_prepend(root)
+    from perfbench.runner import fingerprint
+
+    fp = fingerprint(None)
+    header = f"[numpy {fp['numpy']}, {fp['blas']} {fp['blas_version']}, {fp['cpu']}]"
+    want = _digest_section(os.path.join(root, "DIGESTS.txt"), header)
+    if want is None:
+        pytest.skip(f"DIGESTS.txt has no section {header}, so the digests were not compared")
+    assert proc.stdout.splitlines() == want
