@@ -2,6 +2,7 @@
 
 Usage: python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seed S [--pairs 10] [--out FILE]
        python3 scripts/bench_pairs.py --read FILE
+       python3 scripts/bench_pairs.py --trajectory METRIC
 
 PARENT and CHANGE are two checkouts of the repository. Pair i runs the
 benchmark command of the parent's BENCHMARK.json (`python3
@@ -22,6 +23,13 @@ machine fingerprint the runs print (`perfbench.runner.fingerprint`); the
 bounds used; and the printed summary. `--read FILE` recomputes the
 summary from the runs a file holds, prints it, and exits 1 if it differs
 from the one stored or does not pass.
+
+`--trajectory METRIC` reads every `BENCH_<PR>_<workload>.json` in the
+repository root in PR order and prints one line per file: the PR, the
+workload, and the parent's and the change's median of METRIC over the
+pairs where both runs passed. A line whose machine fingerprint differs
+from the previous file of the same workload says so, because medians
+from two machines do not compare.
 """
 
 import argparse
@@ -43,13 +51,15 @@ def quartiles(values):
     return q1, statistics.median(values), q3
 
 
+def passed(run) -> bool:
+    """A run gave a summary and no operation of it failed."""
+    return run is not None and run["failed"] == 0
+
+
 def summarize(bench: dict, pairs) -> tuple[list, bool]:
     """Report lines and whether every run passed and no median broke its
     bound. `pairs` holds one (parent, change) tuple of run summaries per
     pair, None for a run that gave none."""
-    def passed(run):
-        return run is not None and run["failed"] == 0
-
     lines = [f"pair {i}: the {side} run failed" for i, pair in enumerate(pairs)
              for side, run in zip(("parent", "change"), pair) if not passed(run)]
     ok = not lines
@@ -120,6 +130,35 @@ def read_bench(path: str) -> tuple[list, bool]:
     return lines, ok and lines == record["summary"]
 
 
+def trajectory(metric: str, root: str) -> list:
+    """One line per `BENCH_<PR>_<workload>.json` in `root`, in PR order (see
+    the module docstring)."""
+    files = []
+    for path in glob.glob(os.path.join(root, "BENCH_*_*.json")):
+        m = re.fullmatch(r"BENCH_(\d+)_(.+)\.json", os.path.basename(path))
+        if m:
+            files.append((int(m.group(1)), m.group(2), path))
+    lines, last = [], {}
+    for pr, workload, path in sorted(files):
+        with open(path) as f:
+            record = json.load(f)
+        done = [r for r in record["runs"] if passed(r["parent"]) and passed(r["change"])
+                and metric in r["parent"]["metrics"] and metric in r["change"]["metrics"]]
+        line = f"PR {pr} {workload}: "
+        if done:
+            parent, change = (statistics.median(r[side]["metrics"][metric]["value"] for r in done)
+                              for side in ("parent", "change"))
+            unit = done[0]["change"]["metrics"][metric]["unit"]
+            line += f"parent {parent:.4g} -> change {change:.4g} {unit}"
+        else:
+            line += f"no {metric} values"
+        if workload in last and last[workload][1] != record["fingerprint"]:
+            line += f"  [fingerprint differs from PR {last[workload][0]}]"
+        last[workload] = (pr, record["fingerprint"])
+        lines.append(line)
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", nargs="?")
@@ -129,7 +168,12 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", help="write the runs, tree hashes, fingerprint and summary here")
     ap.add_argument("--read", help="recompute and check the summary of a file --out wrote")
+    ap.add_argument("--trajectory", metavar="METRIC",
+                    help="print METRIC's medians from every BENCH file in the repository root, in PR order")
     args = ap.parse_args(argv)
+    if args.trajectory:
+        print("\n".join(trajectory(args.trajectory, os.path.join(os.path.dirname(__file__), ".."))))
+        return 0
     if args.read:
         lines, ok = read_bench(args.read)
         print("\n".join(lines))

@@ -10,7 +10,7 @@ Layout (all integers little-endian):
     per record:
         u16       name byte length
         ...       name, UTF-8
-        u8        kind: 0 = float32 array, 1 = bit-packed binary mask
+        u8        kind: 0 = float32 array, 1 = bit-packed bool mask
         u8        ndim
         u32*ndim  dims
         u64       payload byte length
@@ -128,7 +128,7 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Returns (manifest, arrays, masks); masks are float32 {0,1} arrays."""
+    """Returns (manifest, arrays, masks); masks are bool arrays."""
     with open(path, "rb") as f:
         r = _Reader(f, path)
         if r.take(4) != MAGIC:
@@ -171,7 +171,7 @@ def load_checkpoint(path):
                 arrays[name] = r.take_f32(shape)
             else:
                 bits = np.unpackbits(np.frombuffer(r.take(plen), dtype=np.uint8), count=size)
-                masks[name] = _shaped(bits, shape, path).astype(np.float32)
+                masks[name] = _shaped(bits.view(bool), shape, path)
         if r.left:
             raise FormatError(f"checkpoint {path} has {r.left} bytes after its last record")
     return manifest, arrays, masks

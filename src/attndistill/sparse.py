@@ -1,12 +1,13 @@
 """Single-pass sparse training: masked weights with epoch-end prune/regrow.
 
-Masks are initialized randomly at the target density and updated once per
-epoch. Both prune modes run the same boundary on a unit view of every
-prunable weight (`_units`): a matrix whose columns are the units that are
-switched on and off together. In irregular mode a unit is one scalar (a
-single row holding the flattened weight); in column mode it is one column
-of the (C_out) x (C_in * k * k) weight matrix (attention projections count
-their output dimension as rows). A unit's score is its squared L2 norm.
+Masks are bool arrays, initialized randomly at the target density and
+updated once per epoch. Both prune modes run the same boundary on a unit
+view of every prunable weight (`_units`): a matrix whose columns are the
+units switched on and off together. In irregular mode a unit is one
+scalar (a single row holding the flattened weight); in column mode it is
+one column of the (C_out) x (C_in * k * k) weight matrix (attention
+projections count their output dimension as rows). A unit's score is its
+squared L2 norm.
 
 At a boundary each layer drops the p_e fraction of its active units with
 the smallest weight score. The budget this frees is split across layers in
@@ -15,9 +16,11 @@ the epoch, and each layer regrows the inactive units with the largest
 momentum score; regrown weights start at zero with a zeroed velocity.
 Only the split differs between the modes: irregular mode apportions exact
 scalar counts, column mode grants whole columns and so stays within one
-column of the budget. The prune rate decays linearly to zero over
-training, so the mask settles while the budget stays constant. All sorts
-are stable, so ties fall back to index order and trajectories are exactly
+column of the budget. `_check_budget` checks the budget, and that column
+masks stay column-uniform, at both ends of every boundary and at every
+checkpoint load. The prune rate decays linearly to zero over training,
+so the mask settles while the budget stays constant. All sorts are
+stable, so ties fall back to index order and trajectories are exactly
 reproducible.
 """
 
@@ -71,17 +74,12 @@ def decay_prune_rate(p0: float, epoch: int, total_epochs: int) -> float:
 class SparseState:
     mode: str
     prune_rate0: float
-    masks: dict = field(default_factory=dict)  # name -> {0,1} array, weight-shaped
+    masks: dict = field(default_factory=dict)  # name -> bool array, weight-shaped
     target_nonzero: int = 0
     p_e: float = 0.0
     include_stem: bool = True
-    mu: dict = field(default_factory=dict)  # normalized momentum contribution
     _mu_sum: dict = field(default_factory=dict, repr=False)
     _mu_batches: int = 0
-
-    @property
-    def layer_names(self):
-        return list(self.masks)
 
     def nonzero(self) -> int:
         return int(sum(np.count_nonzero(m) for m in self.masks.values()))
@@ -97,8 +95,7 @@ class SparseState:
             v = optimizer.velocities.get(name)
             if v is None:
                 raise ContractError(f"optimizer has no momentum buffer for {name}")
-            active = mask > 0
-            contrib = float(np.abs(v[active]).mean()) if active.any() else 0.0
+            contrib = float(np.abs(v[mask]).mean()) if mask.any() else 0.0
             self._mu_sum[name] = self._mu_sum.get(name, 0.0) + contrib
         self._mu_batches += 1
 
@@ -107,19 +104,14 @@ class SparseState:
 
         A fully degenerate epoch (all-zero momentum) distributes uniformly.
         """
-        names = self.layer_names
-        if self._mu_batches == 0:
-            raw = {n: 0.0 for n in names}
-        else:
-            raw = {n: self._mu_sum.get(n, 0.0) / self._mu_batches for n in names}
+        names = list(self.masks)
+        raw = {n: self._mu_sum.get(n, 0.0) / max(self._mu_batches, 1) for n in names}
         total = sum(raw.values())
-        if total <= 0.0:
-            self.mu = {n: 1.0 / len(names) for n in names}
-        else:
-            self.mu = {n: raw[n] / total for n in names}
         self._mu_sum = {}
         self._mu_batches = 0
-        return self.mu
+        if total <= 0.0:
+            return {n: 1.0 / len(names) for n in names}
+        return {n: raw[n] / total for n in names}
 
 
 def init_mask(model: Model, density: float, rng, mode: str = "irregular",
@@ -133,10 +125,10 @@ def init_mask(model: Model, density: float, rng, mode: str = "irregular",
         rng = np.random.default_rng(rng)
     state = SparseState(mode=mode, prune_rate0=prune_rate0, include_stem=include_stem)
     for name, p in model.prunable(include_stem=include_stem).items():
-        mask = np.zeros(p.shape, dtype=p.data.dtype)
+        mask = np.zeros(p.shape, dtype=bool)
         units = _units(mask, mode)
         n_units = units.shape[1]
-        units[:, rng.choice(n_units, size=int(round(density * n_units)), replace=False)] = 1.0
+        units[:, rng.choice(n_units, size=int(round(density * n_units)), replace=False)] = True
         state.masks[name] = mask
     state.target_nonzero = state.nonzero()
     return state
@@ -214,7 +206,7 @@ def _boundary(state: SparseState, model: Model, optimizer: SGD, mode: str, alloc
     smallest weight norm. `allocate(needed, mu, spare, rows)` then splits
     the budget the pruning freed into per-layer unit counts, and each layer
     reactivates the inactive units with the largest momentum norm, at zero
-    weight and zero velocity. The budget is checked before anything changes
+    weight and zero velocity. `_check_budget` runs before anything changes
     and again on return.
     """
     if state.mode != mode:
@@ -227,24 +219,23 @@ def _boundary(state: SparseState, model: Model, optimizer: SGD, mode: str, alloc
     units = {n: _units(mask, mode) for n, mask in state.masks.items()}
     for name, m in units.items():
         w = _units(params[name].data, mode)
-        _check_uniform(m)
-        active = np.flatnonzero(m[0] > 0)
+        active = np.flatnonzero(m[0])
         k = int(state.p_e * active.size)
         if k == 0:
             continue
         drop = active[np.argsort(_scores(w[:, active]), kind="stable")[:k]]
-        m[:, drop] = 0.0
+        m[:, drop] = False
         w[:, drop] = 0.0
     needed = max(0, state.target_nonzero - state.nonzero())
-    quota = allocate(needed, mu, {n: int((m[0] == 0).sum()) for n, m in units.items()},
+    quota = allocate(needed, mu, {n: m.shape[1] - np.count_nonzero(m[0]) for n, m in units.items()},
                      {n: m.shape[0] for n, m in units.items()})
     for name, m in units.items():
         if quota[name] == 0:
             continue
         w, v = _units(params[name].data, mode), _units(optimizer.velocities[name], mode)
-        inactive = np.flatnonzero(m[0] == 0)
+        inactive = np.flatnonzero(~m[0])
         grow = inactive[np.argsort(-_scores(v[:, inactive]), kind="stable")[:quota[name]]]
-        m[:, grow] = 1.0
+        m[:, grow] = True
         w[:, grow] = 0.0
         v[:, grow] = 0.0
     apply_mask(state, model)
@@ -252,20 +243,19 @@ def _boundary(state: SparseState, model: Model, optimizer: SGD, mode: str, alloc
 
 
 def _check_budget(state: SparseState) -> SparseState:
-    """Irregular masks hold exactly `target_nonzero` ones; column masks may
-    miss it by at most one column of the layer with the most rows."""
-    allowed = 0 if state.mode == "irregular" else max(_as_matrix(m).shape[0]
-                                                      for m in state.masks.values())
+    """Irregular masks hold exactly `target_nonzero` ones; column masks are
+    column-uniform and miss it by at most one column of the widest layer."""
+    allowed = 0
+    if state.mode == "column":
+        for name, m in state.masks.items():
+            mat = _as_matrix(m)
+            if (mat != mat[0]).any():
+                raise ContractError(f"column mask {name} is not column-uniform")
+            allowed = max(allowed, mat.shape[0])
     if abs(state.target_nonzero - state.nonzero()) > allowed:
         raise ContractError(f"{state.mode} budget drifted: {state.nonzero()} nonzero against a target "
                             f"of {state.target_nonzero}, more than {allowed} apart")
     return state
-
-
-def _check_uniform(m: np.ndarray):
-    col_on = m.sum(axis=0)
-    if not np.all((col_on == 0) | (col_on == m.shape[0])):
-        raise ContractError("column mask lost its column-uniform structure")
 
 
 @contextmanager
@@ -297,15 +287,12 @@ def compacted(state: SparseState | None, model: Model):
 
 
 def audit_coverage(state: SparseState, model: Model):
-    """Every prunable tensor masked exactly once; exempt tensors unmasked."""
+    """Every prunable tensor masked once, by a bool array of its shape; exempt tensors unmasked."""
     prunable = model.prunable(include_stem=state.include_stem)
-    if set(state.masks) != set(prunable):
-        missing = set(prunable) - set(state.masks)
-        extra = set(state.masks) - set(prunable)
+    missing, extra = set(prunable) - set(state.masks), set(state.masks) - set(prunable)
+    if missing or extra:
         raise ContractError(f"mask coverage mismatch: missing={sorted(missing)} extra={sorted(extra)}")
     for name, mask in state.masks.items():
-        if mask.shape != prunable[name].shape:
-            raise ContractError(f"mask shape mismatch for {name}")
-        vals = np.unique(mask)
-        if not np.all(np.isin(vals, (0.0, 1.0))):
-            raise ContractError(f"mask for {name} contains values other than 0/1")
+        if mask.shape != prunable[name].shape or mask.dtype != bool:
+            raise ContractError(f"mask for {name} is {mask.dtype} {mask.shape}, "
+                                f"expected bool {prunable[name].shape}")

@@ -323,7 +323,7 @@ def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: M
         return total, ce_v, kd_v, at_v
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    metrics = RunMetrics(layer_names=state.layer_names if state else ())
+    metrics = RunMetrics(layer_names=list(state.masks) if state else ())
     metrics_path = os.path.join(cfg.out_dir, f"{label}_metrics.csv")
     if start_epoch > 0 and os.path.exists(metrics_path):  # keep this run's rows from before the resume
         metrics.rows = [r for r in RunMetrics.read(metrics_path)
@@ -460,6 +460,7 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None):
                             mode=cfg.prune_mode, prune_rate0=cfg.prune_rate0,
                             include_stem=cfg.stem_prunable)
         S.audit_coverage(state, student)
+    if state is not None:  # a resumed file's weights may hold values its masks exclude
         S.apply_mask(state, student)
     return _fit(cfg, student, opt, train_ds, test_ds, teacher=teacher, teacher_sha256=teacher_sha256,
                 state=state, start_epoch=start_epoch)

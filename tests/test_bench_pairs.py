@@ -110,3 +110,23 @@ def test_a_run_reports_the_fingerprint_line_it_printed(tmp_path):
     assert summary["fingerprint"] == {"nproc": "2", "cpu": "Intel(R) Xeon(R) Processor", "numpy": "2.4.6",
                                       "blas_threads_pinned": "1"}
     assert summary["metrics"]["step_s_p50"]["value"] == 1.0
+
+
+def test_trajectory_prints_each_files_medians_in_pr_order_and_marks_a_new_machine(tmp_path):
+    """PR 12 sorts after PR 3, and its runs ran on another CPU."""
+    for pr, cpu, rows in ((12, "y", (((1.0, 40.0), (0.8, 41.0)), ((1.2, 38.0), None), ((1.4, 39.0), (1.0, 42.0)))),
+                          (3, "x", (((2.0, 40.0), (1.5, 41.0)),))):
+        pairs = _pairs(*rows)
+        for pair in pairs:
+            for run in pair:
+                if run:
+                    run["fingerprint"] = {"cpu": cpu}
+        lines, ok = bench_pairs.summarize(BENCH, pairs)
+        bench_pairs.write_bench(str(tmp_path / f"BENCH_{pr}_toy.json"), BENCH, "toy", {}, _runs(pairs), lines, ok)
+    assert bench_pairs.trajectory("step_s_p50", str(tmp_path)) == [
+        "PR 3 toy: parent 2 -> change 1.5 s",
+        "PR 12 toy: parent 1.2 -> change 0.9 s  [fingerprint differs from PR 3]",
+    ]
+    assert bench_pairs.trajectory("setup_s", str(tmp_path)) == ["PR 3 toy: no setup_s values",
+                                                               "PR 12 toy: no setup_s values  "
+                                                               "[fingerprint differs from PR 3]"]

@@ -27,7 +27,7 @@ def test_roundtrip_arrays_and_masks(tmp_path):
     for n in arrays:
         assert np.array_equal(a2[n], arrays[n])
     assert np.array_equal(k2["m1"], masks["m1"])
-    assert k2["m1"].dtype == np.float32
+    assert k2["m1"].dtype == bool
 
 
 def test_bitpacked_masks_are_compact(tmp_path):

@@ -117,7 +117,7 @@ def test_momentum_concentration_single_layer():
     m = _toy_student(seed=11)
     state = init_mask(m, 0.5, np.random.default_rng(12))
     opt = SGD(m.named_params(), lr=0.1, momentum=0.9)
-    target = state.layer_names[2]
+    target = list(state.masks)[2]
     opt.velocities[target][:] = 3.0
     state.accumulate_momentum(opt)
     mu = state.finalize_epoch_momentum()
@@ -129,7 +129,7 @@ def test_momentum_hand_fed_running_means():
     m = _tiny_two_layer(seed=13)
     state = init_mask(m, 1.0, np.random.default_rng(14))
     opt = SGD(m.named_params(), lr=0.1, momentum=0.9)
-    names = state.layer_names
+    names = list(state.masks)
     # two batches with hand-set velocities
     feeds = [{n: float(i + 1) * (j + 1) for j, n in enumerate(names)} for i in range(2)]
     for feed in feeds:
@@ -437,15 +437,45 @@ def test_audit_coverage_detects_mismatch():
     m = _toy_student(seed=37)
     state = init_mask(m, 0.5, np.random.default_rng(38))
     audit_coverage(state, m)  # clean
-    state.masks.pop(state.layer_names[0])
+    state.masks.pop(list(state.masks)[0])
     with pytest.raises(ContractError):
         audit_coverage(state, m)
+
+
+def test_audit_coverage_refuses_a_mask_that_is_not_bool():
+    m = _toy_student(seed=37)
+    state = init_mask(m, 0.5, np.random.default_rng(38))
+    name = list(state.masks)[0]
+    state.masks[name] = state.masks[name].astype(np.float32)  # 0/1 values, the wrong dtype
+    with pytest.raises(ContractError, match=f"mask for {name} is float32 .*expected bool"):
+        audit_coverage(state, m)
+
+
+@pytest.mark.parametrize("p_e", [0.3, 0.0])
+def test_column_boundary_refuses_a_non_uniform_column_before_any_change(p_e):
+    m = _toy_student(seed=45)
+    state = init_mask(m, 0.5, np.random.default_rng(46), mode="column")
+    apply_mask(state, m)
+    opt = SGD(m.named_params(), lr=0.1, momentum=0.9)
+    state.accumulate_momentum(opt)
+    name = list(state.masks)[-1]  # the last layer, so a check inside the loop would come too late
+    mat = _as_matrix(state.masks[name])
+    live, dead = np.flatnonzero(mat[0])[0], np.flatnonzero(~mat[0])[0]
+    mat[0, live], mat[0, dead] = False, True  # one entry moves: the nonzero count stays
+    masks = {n: mask.copy() for n, mask in state.masks.items()}
+    weights = {n: p.data.copy() for n, p in m.prunable().items()}
+    state.p_e = p_e
+    with pytest.raises(ContractError, match=f"column mask {name} is not column-uniform"):
+        column_prune_regrow_epoch(state, m, opt)
+    for n, p in m.prunable().items():
+        assert np.array_equal(state.masks[n], masks[n])
+        assert np.array_equal(p.data, weights[n])
 
 
 def test_apply_mask_shape_mismatch():
     m = _toy_student(seed=39)
     state = init_mask(m, 0.5, np.random.default_rng(40))
-    state.masks[state.layer_names[0]] = np.ones((2, 2), dtype=np.float32)
+    state.masks[list(state.masks)[0]] = np.ones((2, 2), dtype=np.float32)
     with pytest.raises(ContractError):
         apply_mask(state, m)
 

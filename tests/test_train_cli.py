@@ -938,6 +938,65 @@ def test_non_numeric_target_is_refused_by_resume_and_eval(tmp_path, capsys, tiny
     assert state.prune_rate0 == 0
 
 
+@pytest.fixture(scope="module")
+def interrupted_column_run(tmp_path_factory, tiny_teacher):
+    out = tmp_path_factory.mktemp("interrupted_column")
+    return _interrupted(tiny_config(out, **RESUMED_RUN, prune_mode="column"), tiny_teacher["ckpt"], 1)
+
+
+def test_a_column_checkpoint_with_a_broken_column_is_refused_at_load(tmp_path, capsys, tiny_teacher,
+                                                                     interrupted_column_run):
+    """One mask entry moves from a live column to a dead one: the nonzero
+    count and so the budget hold, the column structure does not."""
+    from attndistill.sparse import _as_matrix
+
+    manifest, arrays, masks = load_checkpoint(interrupted_column_run)
+    name = next(n for n, mask in masks.items()
+                if _as_matrix(mask).shape[0] > 1 and _as_matrix(mask)[0].any() and not _as_matrix(mask)[0].all())
+    mat = _as_matrix(masks[name])
+    live, dead = np.flatnonzero(mat[0])[0], np.flatnonzero(~mat[0])[0]
+    mat[0, live], mat[0, dead] = False, True
+    path = str(tmp_path / "broken.atlt")
+    save_checkpoint(path, manifest, arrays, masks)
+    with pytest.raises(FormatError, match=f"checkpoint {re.escape(path)}: column mask {name} is not column-uniform"):
+        model_from_checkpoint(path)
+    assert cli_main(["eval", "--ckpt", path, "--dataset", "synthetic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+    (tmp_path / "run.json").write_text(json.dumps(tiny_config(tmp_path / "run", **RESUMED_RUN,
+                                                              prune_mode="column").to_dict()))
+    assert cli_main(["distill", "--config", str(tmp_path / "run.json"), "--teacher", tiny_teacher["ckpt"],
+                     "--resume", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_masked_values_in_a_checkpoint_are_zeros_for_eval_report_and_resume(tmp_path, tiny_teacher,
+                                                                          interrupted_run):
+    """A rolling file whose weights hold nonzero values where their masks are
+    off evaluates, reports and resumes as the file with zeros there does."""
+    manifest, arrays, masks = load_checkpoint(interrupted_run)
+    for name, mask in masks.items():
+        assert (arrays[f"param.{name}"][~mask] == 0).all()
+        arrays[f"param.{name}"][~mask] = 0.5
+    dirty = str(tmp_path / "dirty.atlt")
+    save_checkpoint(dirty, manifest, arrays, masks)
+    cfg = tiny_config(tmp_path, **RESUMED_RUN)
+    _, test_ds = load_datasets(cfg)
+    assert evaluate(dirty, test_ds, cfg.batch_size) == evaluate(interrupted_run, test_ds, cfg.batch_size)
+    assert report(tiny_teacher["ckpt"], dirty) == report(tiny_teacher["ckpt"], interrupted_run)
+    finals = [load_checkpoint(sparse_distill(tiny_config(tmp_path / side, **RESUMED_RUN), tiny_teacher["ckpt"],
+                                             resume=resume)[0])
+              for side, resume in (("clean", interrupted_run), ("dirty", dirty))]
+    (_, a_clean, k_clean), (_, a_dirty, k_dirty) = finals
+    assert list(a_clean) == list(a_dirty) and list(k_clean) == list(k_dirty)
+    for name in a_clean:
+        assert a_clean[name].tobytes() == a_dirty[name].tobytes(), name
+    for name in k_clean:
+        assert np.array_equal(k_clean[name], k_dirty[name]), name
+
+
 def test_resume_from_a_renamed_velocity_is_format_error(tmp_path, tiny_teacher, interrupted_run):
     at = next(at for name, _, at in _records_in(interrupted_run) if name.startswith("opt."))
     path = _renamed(tmp_path, interrupted_run, at)
