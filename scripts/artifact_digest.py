@@ -34,7 +34,14 @@ runs per side. Then it prints a measure that does not depend on the
 allocator, `graph MB: toy-teacher X, toy-student Y, student26 Z`: the
 bytes (tracemalloc, in 10^6) that the recorded graph of one
 cross-entropy step holds before its backward, for the toy teacher and
-the toy hybrid student at 100 images and student26 at 8. Last it prints
+the toy hybrid student at 100 images and student26 at 8, and `step peak
+MB: toy-distill X, full-distill Y`: the tracemalloc peak of one KD+AT
+training step (alpha 0.1, beta 1000, T 4) from the teacher's forward to
+the mask update, toy teacher -> toy hybrid at 100 images and teacher50
+-> student26 at 8, with both models and the optimizer built before the
+trace starts. At two CPUs it reads a few MB higher than under `taskset
+-c 0`, and varies by a few MB from run to run, since both threads hold a
+chunk's temporaries at once for as long as they overlap. Last it prints
 the project's two size measures: the line count of
 `src/attndistill/*.py` (what `wc -l` counts), then the option count, as
 `TrainConfig F fields, ModelSpec M fields`, so that size, options and
@@ -59,7 +66,7 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from attndistill import cli, models, sparse, train  # noqa: E402
+from attndistill import cli, data, models, sparse, train  # noqa: E402
 from attndistill.config import TrainConfig  # noqa: E402
 from attndistill.distill import cross_entropy  # noqa: E402
 from attndistill.tensor import Tensor  # noqa: E402
@@ -141,6 +148,36 @@ def graph_mb() -> str:
     return "graph MB: " + ", ".join(sizes)
 
 
+def step_peak_mb() -> str:
+    """MB (10^6 bytes) at the tracemalloc peak of one KD+AT training step of each distill
+    workload, from the fixtures' teachers; set-up, eval and checkpoint writes are not traced."""
+    runs = (("toy-distill", os.path.join("toy-teacher", "teacher.atlt"),
+             dict(TOY, batch_size=100, synth_train=100, synth_test=10, lr=0.003, density=0.25,
+                  prune_mode="irregular")),
+            ("full-distill", os.path.join("teacher50", "teacher.atlt"),
+             dict(FULL, depth="student26", synth_train=8, synth_test=8, lr=0.01, density=0.5,
+                  prune_mode="column")))
+    batches, peaks = data.batches, []
+
+    def traced(dataset, batch_size, seed, epoch, train=True):
+        for batch in batches(dataset, batch_size, seed, epoch, train):
+            if train:
+                tracemalloc.start()
+            yield batch  # the training loop runs its step before it asks for the next batch
+            if train:
+                peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+                tracemalloc.stop()
+
+    data.batches = traced
+    try:
+        for name, teacher, fields in runs:
+            train.sparse_distill(TrainConfig(out_dir=f"step-{name}", epochs=1, **DISTILL, **fields), teacher)
+    finally:
+        data.batches = batches
+        tracemalloc.stop()
+    return "step peak MB: " + ", ".join(f"{name} {peak:.1f}" for (name, _, _), peak in zip(runs, peaks))
+
+
 def main():
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -154,12 +191,15 @@ def main():
                 with open(path, "rb") as f:
                     print(f"{hashlib.sha256(f.read()).hexdigest()}  {path}")
             print(f"{model_structure()}  model-structure")
+            with contextlib.redirect_stdout(sys.stderr):
+                step_peak = step_peak_mb()
         finally:
             os.chdir(home)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     print(f"maxrss {usage.ru_maxrss / 1024:.1f} MB, minor faults {usage.ru_minflt}, "
           f"cpus {len(os.sched_getaffinity(0))}", file=sys.stderr)
     print(graph_mb(), file=sys.stderr)
+    print(step_peak, file=sys.stderr)
     lines = 0
     for path in glob.glob(os.path.join(SRC, "attndistill", "*.py")):
         with open(path, "rb") as f:

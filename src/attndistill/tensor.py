@@ -17,8 +17,9 @@ than a mask, `abspow` recomputes the magnitude from its input, a 1x1
 stride-1 `conv2d` reads its input as the column matrix, and `batch_norm`
 rebuilds its normalized input from `x` and two per-channel vectors.
 Beyond inputs and outputs, any other `conv2d` keeps its im2col copy and
-`local_attention`, per chunk of images, its queries, padded keys and
-values and softmax weights.
+`local_attention`, per chunk of images, only its softmax weights: its
+backward rebuilds the chunk's queries and padded keys and values from
+its input with the forward's own GEMMs.
 
 Whether an op records a node decides what it keeps, never how it
 computes: every primitive has one forward. An op that records no node
@@ -44,7 +45,7 @@ same budget, so an unrecorded call holds one chunk's maps per thread.
 
 The graph is single-use. As `backward()` passes each node's gradient on
 to its parents, it drops that node's closure and parents, so what the
-closure kept (im2col columns, padded keys and values, softmax weights)
+closure kept (im2col columns, softmax weights)
 and every activation no later closure reads are freed while the pass
 runs, not when it returns. A second `backward()` through a consumed node
 raises `ContractError`. Once the caller drops its last reference to the
@@ -509,12 +510,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, live=None) -> Te
     keeps that column matrix for the weight gradient, so only a 1x1
     stride-1 op keeps no copy of its input. Any other call chunks by
     `_COLS_BUDGET` (see the memory contract). The weight gradient is one
-    BLAS GEMM per image, `g[b] @ cols[b].T`, summed over the batch into a
-    float64 accumulator and rounded once to the gradient's dtype. With the
-    float64 sum the result does not depend on the order the images are
-    added in, and its error is that of one float32 contraction over the
-    batch. The input gradient is skipped when the input does not require
-    grad (the stem). Above `_SPLIT_MACS` (see the thread contract) each
+    BLAS GEMM per image, `g[b] @ cols[b].T` into one reused buffer, summed
+    over the batch into a float64 accumulator and rounded once to the
+    gradient's dtype. With the float64 sum the result does not depend on
+    the order the images are added in, and its error is that of one
+    float32 contraction over the batch. The input gradient is skipped
+    when the input does not require grad (the stem). Above `_SPLIT_MACS` (see the thread contract) each
     half of the images runs the loop in its own thread, into its own rows
     of a kept column matrix or its own buffer, and the weight gradient
     runs, in image order, beside the input gradient.
@@ -557,9 +558,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0, live=None) -> Te
     out = out.reshape(B, cout, ho, wo)
 
     def weight_grad(g2):
-        dw64 = np.zeros(wmat.shape, dtype=np.float64)
+        dw64, buf = np.zeros(wmat.shape, dtype=np.float64), np.empty(wmat.shape, dtype=g2.dtype)
         for b in range(B):
-            dw64 += g2[b] @ cols[b].T
+            dw64 += np.matmul(g2[b], cols[b].T, out=buf)
         return dw64.astype(g2.dtype).reshape(w.shape)
 
     def input_grad(g2):
@@ -804,10 +805,11 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
     k//2, and a loop over the k*k offsets in which each neighbor is a
     shifted slice of the padded maps held images-innermost, so no
     neighborhood is materialized and every slice is made of contiguous
-    rows of W*b values. A recorded node keeps each chunk's queries, padded
-    keys and values and softmax weights. The backward runs per chunk both
-    offset loops, the softmax backward, the `dq` band GEMM, one `dband`
-    GEMM per image and the chunk's columns of the (3 c_out, B*H*W) q/k/v
+    rows of W*b values. A recorded node keeps only each chunk's softmax
+    weights. The backward rebuilds each chunk's queries and padded keys
+    and values from x with the forward's own helper, so with the
+    forward's bytes, then runs both offset loops, the softmax backward,
+    the `dq` band GEMM, one `dband` GEMM per image and the chunk's columns of the (3 c_out, B*H*W) q/k/v
     gradient `d`; after the loop the weight | input gradients `x_T @ d.T`
     and `W_all @ d` run as one GEMM each (see the thread contract). Chunks
     depend only on the shapes, so the bytes do not depend on the CPU
@@ -838,15 +840,21 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
     inside = np.pad(np.ones((H, W, 1), dtype=dtype), ((half, half), (half, half), (0, 0)))
     bias = np.stack([(1 - inside[i : i + H, j : j + W]) * dtype.type(_NEG) for i, j in offsets])
 
+    def project(b0, b1):
+        """Images b0:b1's queries and zero-padded keys and values: the forward's, rebuilt by the backward."""
+        b = b1 - b0
+        xt = _batch_last(x.data[b0:b1]).reshape(c_in, HW * b)
+        q, *kv = (np.matmul(wmat, xt[rows]).reshape(N, ch, H, W, b) for rows, wmat in live)
+        kvp = np.zeros((2, N, ch, H + 2 * half, W + 2 * half, b), dtype=dtype)
+        for padded, proj in zip(kvp, kv):
+            padded[..., half : half + H, half : half + W, :] = proj
+        return q, kvp
+
     def forward_chunks(part):
         for c in range(part.start, part.stop):
             b0, b1 = bounds[c], bounds[c + 1]
             b, M = b1 - b0, HW * (b1 - b0)
-            xt = _batch_last(x.data[b0:b1]).reshape(c_in, M)
-            q, *kv = (np.matmul(wmat, xt[rows]).reshape(N, ch, H, W, b) for rows, wmat in live)
-            kvp = np.zeros((2, N, ch, H + 2 * half, W + 2 * half, b), dtype=dtype)
-            for padded, proj in zip(kvp, kv):
-                padded[..., half : half + H, half : half + W, :] = proj
+            q, kvp = project(b0, b1)
             a = np.matmul(band * sp, q.reshape(N, ch, M)).reshape(N, K, H, W, b)  # logits, then weights
             qc, prod, out = q * sc, np.empty_like(q), np.zeros_like(q)
             for o, (i, j) in enumerate(offsets):
@@ -863,7 +871,7 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
                 out += prod
             y[b0:b1] = out.reshape(c_out, H, W, b).transpose(3, 0, 1, 2)
             if keep:
-                kept[c] = q, kvp, a
+                kept[c] = a
 
     _halves(n, forward_chunks)
 
@@ -876,7 +884,7 @@ def local_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, rel_pos: T
             for c in range(part.start, part.stop):
                 b0, b1 = bounds[c], bounds[c + 1]
                 b, M = b1 - b0, HW * (b1 - b0)
-                (q, kvp, a), gh = kept[c], _batch_last(g[b0:b1]).reshape(N, ch, H, W, b)
+                (q, kvp), a, gh = project(b0, b1), kept[c], _batch_last(g[b0:b1]).reshape(N, ch, H, W, b)
                 qc, prod, da, dkvp = q * sc, np.empty_like(q), np.empty_like(a), np.zeros_like(kvp)
                 for o, (i, j) in enumerate(offsets):
                     np.multiply(gh, kvp[1, ..., i : i + H, j : j + W, :], out=prod)

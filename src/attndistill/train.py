@@ -288,8 +288,9 @@ def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: M
     A step's autodiff graph lives only in `step`'s locals: backward frees
     most of it node by node, and the rest (logits, taps, loss terms) goes
     when `step` returns, so no two steps' graphs coexist. A step drops the
-    last step's gradients before its forward, so they do not live through
-    its graph either.
+    last step's gradients before its forward, and the teacher's logits and
+    taps once the loss terms are built, so neither lives through its graph
+    or its backward.
     """
     kind = model.spec.role
     label, phase = _RUNS[kind]
@@ -306,6 +307,7 @@ def _fit(cfg: TrainConfig, model: Model, opt: SGD, train_ds, test_ds, teacher: M
                 logits_t, taps_t = teacher.forward_with_taps(xb, training=False)
         logits, taps = model.forward_with_taps(xb, training=True)
         ce, kd, at = loss_terms(yb, logits, logits_t, taps, taps_t, dcfg)
+        del logits_t, taps_t  # KD and AT keep only arrays derived from them
         loss = combine_terms(ce, kd, at, dcfg)
         value = loss.item()
         if not math.isfinite(value):
@@ -437,8 +439,9 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None):
 
     `resume` continues from the rolling `student_last.atlt` of the same
     run (the config may differ only in `out_dir`, `data_dir` and
-    `deterministic`), written after every epoch but the last. The teacher
-    file must hold the same bytes as the run's, at whatever path.
+    `deterministic`), written after every epoch but the last; a file
+    without masks is a FormatError. The teacher file must hold the same
+    bytes as the run's, at whatever path.
     """
     student_spec = spec_by_name(cfg.depth, "student", cfg.variant, cfg.classes, cfg.extent, cfg.heads)
     train_ds, test_ds = load_datasets(cfg)
@@ -455,13 +458,14 @@ def sparse_distill(cfg: TrainConfig, teacher_ckpt, resume=None):
     if loaded:
         state = _restore(resume, student, *loaded, opt)
         del loaded  # copied into the student and the optimizer; not held through the run
+        if state is None:  # every student run keeps masks, density 1.0 included
+            raise FormatError(f"resume checkpoint {resume} holds no masks and no sparse record")
     else:
         state = S.init_mask(student, cfg.density, np.random.default_rng([cfg.seed, 3]),
                             mode=cfg.prune_mode, prune_rate0=cfg.prune_rate0,
                             include_stem=cfg.stem_prunable)
         S.audit_coverage(state, student)
-    if state is not None:  # a resumed file's weights may hold values its masks exclude
-        S.apply_mask(state, student)
+    S.apply_mask(state, student)  # a resumed file's weights may hold values its masks exclude
     return _fit(cfg, student, opt, train_ds, test_ds, teacher=teacher, teacher_sha256=teacher_sha256,
                 state=state, start_epoch=start_epoch)
 

@@ -27,6 +27,7 @@ from attndistill.models import (
     spec_by_name,
     toy_spec,
 )
+from attndistill.tensor import Tensor
 from attndistill.train import (
     RunMetrics,
     evaluate,
@@ -203,6 +204,35 @@ def test_no_step_graph_outlives_its_step(tmp_path, tiny_teacher, monkeypatch):
         gc.enable()
     # 8 steps per epoch, each a teacher and a student forward, plus the eval batches
     assert len(alive) > 2 * 2 * 8 and not any(alive)
+
+
+def test_teacher_outputs_are_dead_when_the_backward_starts(tmp_path, tiny_teacher, monkeypatch):
+    """KD and AT keep only arrays derived from the teacher's logits and taps,
+    so the step drops those outputs before the student's backward runs."""
+    forward, backward = Model.forward_with_taps, Tensor.backward
+    teacher_outputs, alive = [], []
+
+    def forward_with_taps(model, *args, **kwargs):
+        logits, taps = forward(model, *args, **kwargs)
+        if model.spec.role == "teacher":
+            teacher_outputs.extend(weakref.ref(t) for t in [logits, *taps])
+        return logits, taps
+
+    def backward_entered(loss):
+        alive.append(sum(ref() is not None for ref in teacher_outputs))
+        teacher_outputs.clear()
+        return backward(loss)
+
+    monkeypatch.setattr(Model, "forward_with_taps", forward_with_taps)
+    monkeypatch.setattr(Tensor, "backward", backward_entered)
+    cfg = tiny_config(tmp_path, epochs=2, lr=0.01, lr_drops=(), variant="hybrid",
+                      alpha=0.1, beta=10.0, density=0.5)
+    gc.disable()  # refcounting alone must free them
+    try:
+        sparse_distill(cfg, tiny_teacher["ckpt"])
+    finally:
+        gc.enable()
+    assert len(alive) == 2 * 8 and not any(alive)  # 8 steps per epoch
 
 
 def test_a_step_drops_the_last_gradients_before_its_forward(tmp_path, tiny_teacher, monkeypatch):
@@ -972,6 +1002,22 @@ def test_a_column_checkpoint_with_a_broken_column_is_refused_at_load(tmp_path, c
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_resume_from_a_student_file_without_masks_is_one_format_error(tmp_path, capsys, tiny_teacher,
+                                                                         interrupted_run):
+    """Every student run keeps masks, density 1.0 included, so a rolling file
+    stripped of its masks and sparse record does not resume as a dense run."""
+    manifest, arrays, _ = load_checkpoint(interrupted_run)
+    manifest["sparse"] = None
+    path = str(tmp_path / "unmasked.atlt")
+    save_checkpoint(path, manifest, arrays, {})
+    (tmp_path / "run.json").write_text(json.dumps(tiny_config(tmp_path / "run", **RESUMED_RUN).to_dict()))
+    assert cli_main(["distill", "--config", str(tmp_path / "run.json"), "--teacher", tiny_teacher["ckpt"],
+                     "--resume", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+    assert not (tmp_path / "run" / "student.atlt").exists()
+
+
 def test_masked_values_in_a_checkpoint_are_zeros_for_eval_report_and_resume(tmp_path, tiny_teacher,
                                                                           interrupted_run):
     """A rolling file whose weights hold nonzero values where their masks are
@@ -1141,8 +1187,9 @@ def test_artifact_digest_script_prints_every_artifact(monkeypatch):
         "toy-teacher/teacher.atlt", "toy-teacher/teacher_metrics.csv", "model-structure",
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest, _ in digests)
-    graph, size, options = proc.stderr.splitlines()[-3:]
+    graph, step, size, options = proc.stderr.splitlines()[-4:]
     assert re.fullmatch(r"graph MB: toy-teacher \d+\.\d, toy-student \d+\.\d, student26 \d+\.\d", graph)
+    assert re.fullmatch(r"step peak MB: toy-distill \d+\.\d, full-distill \d+\.\d", step)
     assert re.fullmatch(r"src/attndistill/\*\.py \d+ lines", size)
     assert re.fullmatch(r"TrainConfig \d+ fields, ModelSpec \d+ fields", options)
     monkeypatch.syspath_prepend(root)
