@@ -18,10 +18,12 @@ without the stem, `count_params`, and `count_flops` unmasked and under
 `init_mask` masks in both modes, with and without the stem. Run it in two
 checkouts and diff the outputs: equal lines mean byte-identical artifacts
 and the same models.
-BLAS runs on one thread, and the ops that use a second CPU (`conv2d`'s
-images and its weight and input gradients, `local_attention`'s chunks of
-images and its weight and input gradient GEMMs, all but the chunks only
-above `tensor._SPLIT_MACS` multiply-adds per thread) split only work that
+BLAS runs on one thread, and the splits that use a second CPU (the
+halves of a no-grad eval-mode forward's batch before `fc`, whose ops
+then run inline; in recorded passes `conv2d`'s images and its weight and
+input gradients, `local_attention`'s chunks of images and its weight and
+input gradient GEMMs, all but the chunks only above
+`tensor._SPLIT_MACS` multiply-adds per thread) split only work that
 gives the same bytes in either thread, so the digests must match at one
 and at two CPUs: compare a plain run with one under `taskset -c 0`.
 `DIGESTS.txt` holds the expected lines for each machine fingerprint.

@@ -1,6 +1,6 @@
 """Alternating parent/change benchmark pairs, summed up against the bounds.
 
-Usage: python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seed S [--pairs 10] [--out FILE]
+Usage: python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seed S [--pairs 10] [--tier1] [--out FILE]
        python3 scripts/bench_pairs.py --read FILE
        python3 scripts/bench_pairs.py --trajectory METRIC
 
@@ -24,6 +24,13 @@ bounds used; and the printed summary. `--read FILE` recomputes the
 summary from the runs a file holds, prints it, and exits 1 if it differs
 from the one stored or does not pass.
 
+`--tier1` first runs the Tier-1 test command of ROADMAP.md
+(`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`),
+with `--durations=5`, once in each checkout, the parent first, and prints
+each tree's wall time, pass and fail counts and five slowest tests;
+`--out` stores them in the file, and `--read` prints them after the
+summary.
+
 `--trajectory METRIC` reads every `BENCH_<PR>_<workload>.json` in the
 repository root in PR order and prints one line per file: the PR, the
 workload, and the parent's and the change's median of METRIC over the
@@ -41,6 +48,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 
 
 def quartiles(values):
@@ -109,25 +117,56 @@ def run_once(checkout: str, command: list) -> dict | None:
     return summary
 
 
-def write_bench(path: str, bench: dict, workload: str, trees: dict, runs: list, lines: list, ok: bool):
+def tier1(checkout: str) -> dict:
+    """One Tier-1 run in `checkout`: its wall time, pass and fail counts
+    (errors count as failures) and its five slowest test phases."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=5"]
+    start = time.perf_counter()
+    proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", (lines or [""])[-1])}
+    slowest = [[float(m.group(1)), m.group(2), m.group(3)] for m in
+               (re.fullmatch(r"(\d+(?:\.\d+)?)s (setup|call|teardown)\s+(.+)", line) for line in lines) if m]
+    return {"wall_s": round(wall, 2), "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0),
+            "slowest": slowest[:5]}
+
+
+def tier1_lines(runs: dict) -> list:
+    """One line per tree of what `tier1` returned, then its slowest tests."""
+    lines = []
+    for side, run in runs.items():
+        lines.append(f"tier-1 {side}: {run['passed']} passed, {run['failed']} failed in {run['wall_s']:.1f} s")
+        lines += [f"  {secs:.2f} s {phase} {test}" for secs, phase, test in run["slowest"]]
+    return lines
+
+
+def write_bench(path: str, bench: dict, workload: str, trees: dict, runs: list, lines: list, ok: bool,
+                tier1_runs: dict | None = None):
     """The evidence file of one set of pairs; `runs` holds one dict per pair with
-    its `seed`, the side that ran `first`, and each side's summary."""
+    its `seed`, the side that ran `first`, and each side's summary; `tier1_runs`
+    what `tier1` returned for each tree, if it ran."""
     fingerprint = next((r[side].get("fingerprint", {}) for r in runs for side in ("parent", "change") if r[side]), {})
     record = {"workload": workload, "end_to_end": bench["end_to_end"], "trees": trees,
               "fingerprint": fingerprint, "runs": runs, "summary": lines, "ok": ok}
+    if tier1_runs:
+        record["tier1"] = tier1_runs
     with open(path, "w") as f:
         json.dump(record, f, indent=1)
         f.write("\n")
 
 
 def read_bench(path: str) -> tuple[list, bool]:
-    """The summary lines recomputed from a file's runs, and whether they equal
-    the stored ones and pass."""
+    """The summary lines recomputed from a file's runs, then the Tier-1 lines
+    if it holds any, and whether the summary equals the stored one and passes."""
     with open(path) as f:
         record = json.load(f)
     pairs = [(r["parent"], r["change"]) for r in record["runs"]]
     lines, ok = summarize({"end_to_end": record["end_to_end"]}, pairs)
-    return lines, ok and lines == record["summary"]
+    return lines + tier1_lines(record.get("tier1", {})), ok and lines == record["summary"]
 
 
 def trajectory(metric: str, root: str) -> list:
@@ -166,6 +205,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload")
     ap.add_argument("--seed", type=int, help="seed of the first pair")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--tier1", action="store_true", help="run the Tier-1 tests once in each tree first")
     ap.add_argument("--out", help="write the runs, tree hashes, fingerprint and summary here")
     ap.add_argument("--read", help="recompute and check the summary of a file --out wrote")
     ap.add_argument("--trajectory", metavar="METRIC",
@@ -182,6 +222,7 @@ def main(argv=None) -> int:
         ap.error("PARENT, CHANGE, --workload and --seed are required")
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
         bench = json.load(f)
+    tier1_runs = {side: tier1(getattr(args, side)) for side in ("parent", "change")} if args.tier1 else {}
     runs = []
     for i in range(args.pairs):
         command = bench["command"] + ["--workload", args.workload, "--seed", str(args.seed + i),
@@ -192,10 +233,10 @@ def main(argv=None) -> int:
         print(f"pair {i} seed {args.seed + i} ({order[0]} first) done", file=sys.stderr)
     lines, ok = summarize(bench, [(r["parent"], r["change"]) for r in runs])
     print(f"{args.workload}, {args.pairs} pairs from seed {args.seed}")
-    print("\n".join(lines))
+    print("\n".join(lines + tier1_lines(tier1_runs)))
     if args.out:
         trees = {side: {"src_sha256": source_sha256(getattr(args, side))} for side in ("parent", "change")}
-        write_bench(args.out, bench, args.workload, trees, runs, lines, ok)
+        write_bench(args.out, bench, args.workload, trees, runs, lines, ok, tier1_runs)
     return 0 if ok else 1
 
 

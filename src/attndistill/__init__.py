@@ -1,8 +1,9 @@
 """Sparse distillation of convolutional teachers into local-attention students."""
 
 import os
-# One BLAS thread unless the caller chose otherwise, because `tensor._halves`
-# owns the second core; numpy reads these variables only when it loads.
+# One BLAS thread unless the caller chose otherwise, because `tensor._halves`'
+# worker thread owns the second core (a no-grad forward's batch halves, a
+# recorded pass's large ops); numpy reads these variables only when it loads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -236,16 +236,35 @@ class Model:
         """Run the network, returning (logits, each stage's output in network order).
 
         With no graph recorded, a block's output is freed once the next
-        block has read it, unless it ends its stage."""
+        block has read it, unless it ends its stage. In eval mode with no
+        graph recorded, each half of the batch runs the trunk (stem, stages,
+        pooling) in its own thread (`tensor._halves`), so the ops inside run
+        inline. The halves' pooled features and taps, whose bytes are the
+        whole batch's, are joined, and `fc` runs once on the whole batch,
+        because a GEMM's rows need not keep their bytes in a shorter
+        product. A training-mode or recorded forward runs whole, since
+        batch norm's statistics and the graph need the whole batch."""
         if x.ndim != 4 or x.shape[1:] != (3, self.spec.input_hw, self.spec.input_hw):
             raise ShapeError(f"expected (B, 3, {self.spec.input_hw}, {self.spec.input_hw}), got {x.shape}")
-        h = T.relu(self.stem_bn.forward(self.stem.forward(x), training, overwrite=True), overwrite=True)
-        taps = []
-        for blocks in self.stages:
-            for blk in blocks:
-                h = blk.forward(h, training)
-            taps.append(h)
-        pooled = T.global_avg_pool(h)
+        B, halves = len(x.data), {}
+
+        def run(part):
+            h = x if part == slice(0, B) else Tensor(x.data[part], dtype=x.data.dtype)
+            h = T.relu(self.stem_bn.forward(self.stem.forward(h), training, overwrite=True), overwrite=True)
+            taps = []
+            for blocks in self.stages:
+                for blk in blocks:
+                    h = blk.forward(h, training)
+                taps.append(h)
+            halves[part.start] = [T.global_avg_pool(h), *taps]
+
+        if training or T._grad_enabled():
+            run(slice(0, B))
+        else:
+            T._halves(B, run)
+        parts = [halves.pop(start) for start in sorted(halves)]
+        pooled, *taps = parts[0] if len(parts) == 1 else [
+            Tensor(np.concatenate([t.data for t in ts]), dtype=ts[0].data.dtype) for ts in zip(*parts)]
         return self.fc.forward(pooled), taps
 
     # --- bookkeeping ---

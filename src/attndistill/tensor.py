@@ -42,6 +42,10 @@ batch, whose column matrix it keeps; any other call builds a column
 matrix for as many images as fit `_COLS_BUDGET` (512 KiB, at least one
 image) in a reused buffer. `local_attention` chunks both passes by the
 same budget, so an unrecorded call holds one chunk's maps per thread.
+An eval-mode forward that records nothing runs each half of its batch
+in its own thread (`models.Model.forward_with_taps`), so it holds two
+half-batches' maps at once, about what the whole batch's would be, and
+joins the halves' pooled features and stage taps into new arrays.
 
 The graph is single-use. As `backward()` passes each node's gradient on
 to its parents, it drops that node's closure and parents, so what the
@@ -53,24 +57,31 @@ loss and to the forward's outputs, nothing of the step is left.
 
 Thread contract: tensors are plain arrays, safe to share for read-only
 evaluation; recording state (grad mode, default dtype) is thread-local,
-and gradient accumulation belongs to the single training thread. Two
-ops run the second half of their work in one other thread (`_halves`;
-none with one CPU): `conv2d` its images and its weight | input
+and gradient accumulation belongs to the single training thread. With
+more than one CPU, `_halves` runs the second half of a split in one
+long-lived worker thread, started on first use under the caller's grad
+mode and default dtype, and forgotten in a forked child. One split at a
+time owns the worker; a split that finds it taken runs inline. So in a
+no-grad eval-mode forward the batch split owns the worker for the whole
+trunk and every op inside either half runs inline, while a recorded
+pass splits op by op: `conv2d` its images and its weight | input
 gradients, and `local_attention` its chunks of images and its weight |
 input gradient GEMMs. Attention's chunks split whenever there are two or
 more; any other call splits only when each thread's share, counted from
 the op's shapes, comes to `_SPLIT_MACS` (2^25) multiply-adds, so the toy
-models' convolutions and gradient GEMMs run inline. That thread calls
-numpy alone, never a Tensor op, with the inline call's operands; every
-reduction stays within one image, chunk or task, and BLAS runs under a
-fixed thread configuration, so the bytes are the same at one and at two
-CPUs.
+models' convolutions and gradient GEMMs run inline. The worker runs
+Tensor ops only inside a no-grad eval-mode forward, where nothing is
+recorded and each op writes only arrays it made; an op's split calls
+numpy alone, with the inline call's operands. Every reduction stays
+within one image, chunk or task, and BLAS runs under a fixed thread
+configuration, so the bytes are the same at one and at two CPUs.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -446,28 +457,43 @@ _SPLIT_MACS = 1 << 25
 
 
 def _halves(n: int, fn, macs=None):
-    """Call `fn` on a slice of the first half of `range(n)` here and of the second in one other
-    thread, both ending before this does and the second's exception re-raised here; inline with
-    one CPU, or when the second half's `macs` (one item's multiply-adds) fall short of `_SPLIT_MACS`."""
+    """Call `fn` on a slice of the first half of `range(n)` here and of the second in the worker
+    thread, under this thread's grad mode and dtype, both ending before this does and the second's
+    exception re-raised here; inline with one CPU, while the worker is taken (so a split inside a
+    half runs inline), or when the second half's `macs` (one item's multiply-adds) fall short of
+    `_SPLIT_MACS`."""
+    global _worker
     cut = (n + 1) // 2 if _TWO_CPUS and (macs is None or n // 2 * macs >= _SPLIT_MACS) else n
-    if cut == n:
+    if cut == n or not _busy.acquire(blocking=False):
         return fn(slice(0, n))
-    failed = []
+    grad, dtype = _grad_enabled(), default_dtype()
 
     def second():
-        try:
-            fn(slice(cut, n))
-        except BaseException as e:  # handed to the calling thread, which raises it
-            failed.append(e)
+        _state.grad_enabled, _state.dtype = grad, dtype
+        fn(slice(cut, n))
 
-    worker = threading.Thread(target=second)
-    worker.start()
     try:
-        fn(slice(0, cut))
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, "attndistill-halves")
+        done = _worker.submit(second)
+        try:
+            fn(slice(0, cut))
+        finally:
+            wait((done,))
     finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+        _busy.release()
+    done.result()
+
+
+def _forget_worker():
+    """A forked child has no worker thread, and no split in progress."""
+    global _worker, _busy
+    _worker, _busy = None, threading.Lock()
+
+
+_forget_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _map_halves(fn, items, macs):

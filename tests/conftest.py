@@ -1,5 +1,9 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+import attndistill.tensor as T
 from attndistill.config import TrainConfig
 from attndistill import train as TR
 
@@ -30,3 +34,22 @@ def tiny_teacher(tmp_path_factory):
     cfg = tiny_config(out, epochs=5, lr=0.05, lr_drops=(4,), variant="conv")
     ckpt, metrics = TR.train_teacher(cfg)
     return {"ckpt": ckpt, "metrics": metrics, "cfg": cfg}
+
+
+def hand_offs(monkeypatch):
+    """The list that every second half handed to `tensor._halves`' worker
+    thread from now on is appended to."""
+    handed, submit = [], ThreadPoolExecutor.submit
+
+    def counted(self, fn, *args, **kwargs):
+        handed.append(fn)
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+    return handed
+
+
+def assert_worker_idle():
+    """At most one worker thread exists, and no split holds it."""
+    workers = [t for t in threading.enumerate() if t.name.startswith("attndistill-halves")]
+    assert len(workers) <= 1 and not T._busy.locked()

@@ -130,3 +130,28 @@ def test_trajectory_prints_each_files_medians_in_pr_order_and_marks_a_new_machin
     assert bench_pairs.trajectory("setup_s", str(tmp_path)) == ["PR 3 toy: no setup_s values",
                                                                "PR 12 toy: no setup_s values  "
                                                                "[fingerprint differs from PR 3]"]
+
+
+def test_tier1_runs_the_tests_of_a_tree_and_the_file_keeps_its_counts_and_slowest_tests(tmp_path, capsys):
+    """A stub tree with one passing and one failing test; `--read` prints
+    each tree's counts, wall time and slowest tests after the summary."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "stub.py").write_text("VALUE = 2\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_stub.py").write_text(
+        "import time\nimport stub\n\n\ndef test_slow():\n    time.sleep(0.2)\n    assert stub.VALUE == 2\n\n\n"
+        "def test_fails():\n    assert stub.VALUE == 3\n")
+    run = bench_pairs.tier1(str(tmp_path))
+    assert (run["passed"], run["failed"]) == (1, 1) and run["wall_s"] > 0.2
+    assert 1 <= len(run["slowest"]) <= 5
+    assert run["slowest"][0][1:] == ["call", "tests/test_stub.py::test_slow"] and run["slowest"][0][0] >= 0.2
+    pairs = _pairs(((1.0, 40.0), (0.9, 41.0)))
+    lines, ok = bench_pairs.summarize(BENCH, pairs)
+    path = tmp_path / "BENCH_1_toy.json"
+    bench_pairs.write_bench(str(path), BENCH, "toy", {}, _runs(pairs), lines, ok, {"parent": run, "change": run})
+    assert json.loads(path.read_text())["tier1"]["change"] == run
+    assert bench_pairs.main(["--read", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(lines)] == lines
+    assert out[len(lines)].startswith(f"tier-1 parent: 1 passed, 1 failed in {run['wall_s']:.1f} s")
+    assert out[len(lines) + 1].endswith("s call tests/test_stub.py::test_slow")

@@ -1,11 +1,12 @@
 import gc
+import multiprocessing
 import re
 import weakref
 
 import numpy as np
 import pytest
 
-from attndistill.errors import ConfigError, ShapeError
+from attndistill.errors import ConfigError, NumericError, ShapeError
 from attndistill.models import (
     Bottleneck,
     Conv2d,
@@ -20,7 +21,9 @@ from attndistill.models import (
 )
 import attndistill.tensor as T
 from attndistill.distill import DistillConfig, combine_terms, loss_terms
-from attndistill.tensor import Tensor, no_grad
+from attndistill.sparse import apply_mask, compacted, init_mask
+from attndistill.tensor import Tensor, no_grad, precision
+from conftest import assert_worker_idle, hand_offs
 
 
 def _toy_pair():
@@ -50,10 +53,9 @@ def test_teacher50_and_student26_stage_taps_align():
     assert [a.shape[2:] for a in ts] == [b.shape[2:] for b in tt] == [(32, 32), (16, 16), (8, 8), (4, 4)]
 
 
-def test_a_graphless_forward_keeps_only_the_stage_taps(monkeypatch):
-    """With no graph recorded, every block output but a stage's last is
-    freed by refcounting alone once the next block has read it."""
-    teacher, _ = _toy_pair()
+def _block_outputs_and_taps(teacher, two_cpus, monkeypatch):
+    """Weak references to every block output of one graphless forward of
+    two images, and its taps, with refcounting alone to free them."""
     outputs, forward = [], Bottleneck.forward
 
     def spy(blk, *args, **kwargs):
@@ -61,17 +63,177 @@ def test_a_graphless_forward_keeps_only_the_stage_taps(monkeypatch):
         outputs.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(Bottleneck, "forward", spy)
     x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 32, 32)).astype(np.float32))
-    gc.disable()  # refcounting alone must free them
-    try:
-        with no_grad():
-            _, taps = teacher.forward_with_taps(x)
-    finally:
-        gc.enable()
+    with monkeypatch.context() as m:
+        m.setattr(T, "_TWO_CPUS", two_cpus)
+        m.setattr(Bottleneck, "forward", spy)
+        gc.disable()
+        try:
+            with no_grad():
+                _, taps = teacher.forward_with_taps(x)
+        finally:
+            gc.enable()
+    return outputs, taps
+
+
+def test_a_graphless_forward_keeps_only_the_stage_taps(monkeypatch):
+    """With no graph recorded, every block output but a stage's last is
+    freed by refcounting alone once the next block has read it. With two
+    CPUs each image runs the blocks in its own thread, and every block
+    output of either half is freed once the halves' taps are joined."""
+    teacher, _ = _toy_pair()
+    outputs, taps = _block_outputs_and_taps(teacher, False, monkeypatch)
     alive = [ref() for ref in outputs if ref() is not None]
     assert len(outputs) == sum(teacher.spec.blocks) == 6
     assert len(alive) == len(taps) == 3 and all(a is t for a, t in zip(alive, taps))
+    outputs, taps = _block_outputs_and_taps(teacher, True, monkeypatch)
+    assert len(outputs) == 2 * 6 and all(ref() is None for ref in outputs)
+    assert len(taps) == 3 and all(t.shape[0] == 2 for t in taps)
+
+
+def _column_student26():
+    m = build_model(student_spec("student26"), np.random.default_rng(0))
+    state = init_mask(m, 0.5, np.random.default_rng(1), mode="column")
+    apply_mask(state, m)
+    return m, state
+
+
+# name -> (model and sparse state, batch sizes)
+SPLIT_MODELS = {
+    "toy-teacher": (lambda: (build_model(toy_spec("teacher", "conv"), np.random.default_rng(0)), None), (100, 99, 1)),
+    "toy-hybrid": (lambda: (build_model(toy_spec("student", "hybrid"), np.random.default_rng(1)), None), (100, 99, 1)),
+    "toy-homogeneous": (lambda: (build_model(toy_spec("student", "homogeneous"), np.random.default_rng(2)), None),
+                        (100, 99, 1)),
+    "teacher50": (lambda: (build_model(teacher50_spec(), np.random.default_rng(3)), None), (8, 7)),
+    "student26-column": (_column_student26, (8, 7)),
+}
+
+
+def _eval_forward_bytes(model, state, x):
+    with no_grad(), compacted(state, model):
+        logits, taps = model.forward_with_taps(x)
+    return [t.data.tobytes() for t in (logits, *taps)]
+
+
+@pytest.mark.parametrize("name", SPLIT_MODELS)
+def test_a_no_grad_eval_forward_split_by_batch_is_the_whole_batch_forward(name, monkeypatch):
+    """Each half of the batch runs the trunk in its own thread, one hand-off
+    per forward (none at B=1), and logits and taps keep the bytes of the
+    one-CPU forward: per image, every op before `fc` is the whole batch's,
+    and `fc` runs once on the joined features."""
+    handed = hand_offs(monkeypatch)
+    build, sizes = SPLIT_MODELS[name]
+    model, state = build()
+    for B in sizes:
+        x = Tensor(np.random.default_rng(B).standard_normal((B, 3, 32, 32)).astype(np.float32))
+        monkeypatch.setattr(T, "_TWO_CPUS", False)
+        inline = _eval_forward_bytes(model, state, x)
+        assert not handed
+        monkeypatch.setattr(T, "_TWO_CPUS", True)
+        assert _eval_forward_bytes(model, state, x) == inline
+        assert len(handed) == (B > 1)
+        handed.clear()
+
+
+def _stem_batches(model, monkeypatch):
+    """The batch size of every call of `model`'s stem from now on."""
+    sizes, forward = [], type(model.stem).forward
+
+    def spy(layer, x):
+        if layer is model.stem:
+            sizes.append(x.shape[0])
+        return forward(layer, x)
+
+    monkeypatch.setattr(type(model.stem), "forward", spy)
+    return sizes
+
+
+def test_a_training_mode_or_recorded_forward_never_splits_its_batch(monkeypatch):
+    """Batch norm's batch statistics need the whole batch, and so does the
+    graph: a training-mode forward, recorded or not, and a recorded
+    eval-mode forward run their stem on all of it."""
+    monkeypatch.setattr(T, "_TWO_CPUS", True)
+    _, student = _toy_pair()
+    sizes = _stem_batches(student, monkeypatch)
+    x = Tensor(np.random.default_rng(2).standard_normal((6, 3, 32, 32)).astype(np.float32))
+    with no_grad():
+        student.forward_with_taps(x, training=True)
+    student.forward_with_taps(x, training=True)
+    student.forward_with_taps(x, training=False)
+    assert sizes == [6, 6, 6]
+    with no_grad():
+        student.forward_with_taps(x, training=False)
+    assert sizes[3:] == [3, 3]
+
+
+def test_a_float64_no_grad_forward_stays_float64_in_both_halves(monkeypatch):
+    """The worker runs its half under the caller's grad mode and default
+    dtype: every block of either half sees float64 and no grad mode, and
+    its output stays float64, with the one-CPU bytes."""
+    seen, forward = [], Bottleneck.forward
+
+    def spy(blk, *args, **kwargs):
+        out = forward(blk, *args, **kwargs)
+        seen.append((T.default_dtype(), T._grad_enabled(), out.data.dtype))
+        return out
+
+    monkeypatch.setattr(Bottleneck, "forward", spy)
+    with precision(np.float64):
+        student = build_model(toy_spec("student", "hybrid"), np.random.default_rng(1))
+        x = Tensor(np.random.default_rng(2).standard_normal((6, 3, 32, 32)))
+        monkeypatch.setattr(T, "_TWO_CPUS", False)
+        inline = _eval_forward_bytes(student, None, x)
+        monkeypatch.setattr(T, "_TWO_CPUS", True)
+        split = _eval_forward_bytes(student, None, x)
+    assert len(seen) == 3 * 3 and set(seen) == {(np.float64, False, np.dtype(np.float64))}
+    assert split == inline
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # numpy's, from either thread
+def test_an_error_in_the_workers_half_raises_in_the_caller(monkeypatch):
+    """Non-finite images only in the second half make only the worker's
+    attention logits non-finite: the error raises here, and the worker is
+    idle for the next forward, which splits again."""
+    monkeypatch.setattr(T, "_TWO_CPUS", True)
+    handed = hand_offs(monkeypatch)
+    _, student = _toy_pair()
+    x = np.random.default_rng(2).standard_normal((6, 3, 32, 32)).astype(np.float32)
+    bad = x.copy()
+    bad[3:] = np.inf
+    with no_grad(), pytest.raises(NumericError, match="local_attention logits"):
+        student.forward_with_taps(Tensor(bad))
+    assert_worker_idle()
+    monkeypatch.setattr(T, "_TWO_CPUS", False)
+    inline = _eval_forward_bytes(student, None, Tensor(x))
+    monkeypatch.setattr(T, "_TWO_CPUS", True)
+    assert _eval_forward_bytes(student, None, Tensor(x)) == inline
+    assert len(handed) == 2
+    assert_worker_idle()
+
+
+def test_a_forked_child_runs_a_split_forward(monkeypatch):
+    """A child forked after the worker started has no worker thread: it
+    starts its own, and its split forward gives the parent's bytes."""
+    monkeypatch.setattr(T, "_TWO_CPUS", True)
+    handed = hand_offs(monkeypatch)
+    teacher, _ = _toy_pair()
+    x = Tensor(np.random.default_rng(2).standard_normal((6, 3, 32, 32)).astype(np.float32))
+    want = _eval_forward_bytes(teacher, None, x)
+    assert len(handed) == 1
+
+    def child():
+        handed.clear()
+        if _eval_forward_bytes(teacher, None, x) != want or len(handed) != 1:
+            raise SystemExit(3)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    hung = proc.is_alive()
+    if hung:
+        proc.kill()
+        proc.join()
+    assert not hung and proc.exitcode == 0
 
 
 def _spatial_convs(model):

@@ -1,5 +1,4 @@
 import gc
-import threading
 import weakref
 
 import mpmath
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 import attndistill.tensor as T
 from attndistill.errors import ContractError, NumericError, ShapeError
 from attndistill.tensor import Tensor, grad_check, no_grad, precision, topo_order
+from conftest import assert_worker_idle, hand_offs
 
 
 def test_matmul_identity():
@@ -774,19 +774,6 @@ def _attention_bytes(heads, B=6):
     return [a.tobytes() for a in (out.data, *(t.grad for t in leaves), live.data)]
 
 
-def _thread_starts(monkeypatch):
-    """The list that every thread started from now on is appended to."""
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Counted)
-    return started
-
-
 def _two_images_per_chunk(monkeypatch, heads):
     """Shrink `_COLS_BUDGET` to two (c_out, 5, 5) maps of `_attention_inputs`,
     so 7 images run as 4 chunks of 1, 2, 2 and 2 images."""
@@ -795,35 +782,35 @@ def _two_images_per_chunk(monkeypatch, heads):
 
 @pytest.mark.parametrize("heads", [1, 2, 3, 8])
 def test_local_attention_split_over_two_threads_is_the_inline_call(heads, monkeypatch):
-    """Four unequal chunks of 7 images, the last two in a second thread,
+    """Four unequal chunks of 7 images, the last two in the worker thread,
     give the bytes of the same chunks run inline, as with one CPU, and of
     the whole batch as one chunk: output, the five gradients and the
-    `live` forward. Each pass starts one thread. So do the weight | input
-    gradient GEMMs side by side, which these shapes split only with
-    `_SPLIT_MACS` at 0."""
-    started = _thread_starts(monkeypatch)
+    `live` forward. Each pass hands one half to the worker. So do the
+    weight | input gradient GEMMs side by side, which these shapes split
+    only with `_SPLIT_MACS` at 0."""
+    handed = hand_offs(monkeypatch)
     _two_images_per_chunk(monkeypatch, heads)
     monkeypatch.setattr(T, "_TWO_CPUS", False)
     inline = _attention_bytes(heads, B=7)
-    assert not started
+    assert not handed
     monkeypatch.setattr(T, "_TWO_CPUS", True)
     assert _attention_bytes(heads, B=7) == inline
-    assert len(started) == 3  # forward, backward, live forward
+    assert len(handed) == 3  # forward, backward, live forward
     monkeypatch.setattr(T, "_COLS_BUDGET", 1 << 30)
     assert _attention_bytes(heads, B=7) == inline
-    assert len(started) == 3
+    assert len(handed) == 3
     monkeypatch.setattr(T, "_SPLIT_MACS", 0)
     assert _attention_bytes(heads, B=7) == inline
-    assert len(started) == 4  # the weight | input gradient GEMMs
+    assert len(handed) == 4  # the weight | input gradient GEMMs
 
 
 @pytest.mark.parametrize("B", [1, 6])
 def test_local_attention_in_one_chunk_starts_no_thread(B, monkeypatch):
     """A batch whose maps fit `_COLS_BUDGET` is one chunk and runs inline."""
-    started = _thread_starts(monkeypatch)
+    handed = hand_offs(monkeypatch)
     monkeypatch.setattr(T, "_TWO_CPUS", True)
     assert len(_attention_bytes(2, B=B)) == 7
-    assert not started
+    assert not handed
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # numpy's, from either thread
@@ -834,22 +821,20 @@ def test_local_attention_error_in_the_second_half_raises_in_the_caller(monkeypat
     c = x.shape[1]
     bad = x.copy()
     bad[5:] = np.inf  # only the last chunk's images, so only the second thread's logits
-    threads = threading.active_count()
     with pytest.raises(NumericError, match="local_attention logits"):
         T.local_attention(*map(Tensor, (bad, *ws, rel_pos)), c**-0.5, c**-0.25)
-    assert threading.active_count() == threads
+    assert_worker_idle()
     out = T.local_attention(*map(Tensor, (x, *ws, rel_pos)), c**-0.5, c**-0.25)
-    assert np.isfinite(out.data).all() and threading.active_count() == threads
+    assert np.isfinite(out.data).all()
+    assert_worker_idle()
 
 
 def test_local_attention_with_one_cpu_starts_no_thread(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
     monkeypatch.setattr(T, "_TWO_CPUS", False)
     _two_images_per_chunk(monkeypatch, 8)
-    monkeypatch.setattr(threading, "Thread", refuse)
+    handed = hand_offs(monkeypatch)
     assert len(_attention_bytes(8, B=7)) == 7
+    assert not handed
 
 
 # (k, stride, pad, input needs grad, unrecorded call on live columns)
@@ -876,28 +861,29 @@ def _conv_bytes(k, stride, pad, x_grad, live):
 
 @pytest.mark.parametrize("case", CONV_SPLITS)
 def test_conv2d_split_over_two_threads_is_the_inline_call(case, monkeypatch):
-    """Images split 4 | 3 between two threads, and the weight and input
-    gradients side by side, give the bytes of the inline call. Three
+    """Images split 4 | 3 between this thread and the worker, and the weight
+    and input gradients side by side, give the bytes of the inline call. Three
     images' 3x3 columns fill `_COLS_BUDGET`, so the unrecorded call's
     chunks, 0-2, 3-5, 6 inline, become 0-2, 3 | 4-6 in the halves' own
     buffers."""
     k, stride, pad, x_grad, live = CONV_SPLITS[case]
     monkeypatch.setattr(T, "_COLS_BUDGET", 3 * 4 * 9 * 36 * 4)
-    started = _thread_starts(monkeypatch)
+    handed = hand_offs(monkeypatch)
     monkeypatch.setattr(T, "_TWO_CPUS", False)
     monkeypatch.setattr(T, "_SPLIT_MACS", 0)
     inline = _conv_bytes(k, stride, pad, x_grad, live)
-    assert not started
+    assert not handed
     monkeypatch.setattr(T, "_TWO_CPUS", True)
     assert _conv_bytes(k, stride, pad, x_grad, live) == inline
-    assert len(started) == 1 + x_grad  # the forward, and a backward with an input gradient
+    assert len(handed) == 1 + x_grad  # the forward, and a backward with an input gradient
 
 
 def test_conv2d_below_the_split_threshold_starts_no_thread(monkeypatch):
     """A call splits only when each thread's share comes to `_SPLIT_MACS`
     multiply-adds: here 2^24 for the forward's 4 images x 16 x 256 weights
-    x 1024 pixels, and 2^25 for each gradient task, one image set each."""
-    started = _thread_starts(monkeypatch)
+    x 1024 pixels, and 2^25 for each gradient task, one image set each.
+    Each split hands one half to the worker."""
+    handed = hand_offs(monkeypatch)
     monkeypatch.setattr(T, "_TWO_CPUS", True)
     x = Tensor(np.ones((8, 256, 32, 32), np.float32), requires_grad=True)
     w = Tensor(np.ones((16, 256, 1, 1), np.float32), requires_grad=True)
@@ -906,19 +892,20 @@ def test_conv2d_below_the_split_threshold_starts_no_thread(monkeypatch):
     for least in (1 << 24, (1 << 24) + 1, (1 << 25) + 1):
         monkeypatch.setattr(T, "_SPLIT_MACS", least)
         _backward_with(T.conv2d(x, w), g)
-        counts.append(len(started))
+        counts.append(len(handed))
     assert counts == [2, 3, 3]
 
 
 def test_toy_models_split_only_their_attention_chunks(monkeypatch):
     """At B=100 every conv of the toy models falls below `_SPLIT_MACS`, and
     every attention layer's maps fill more than one chunk: a training step
-    of the hybrid student starts one thread per attention pass, and the
-    teacher's forward none."""
+    of the hybrid student hands one half to the worker per attention pass,
+    and the teacher's no-grad forward one, its batch's second half, inside
+    which every op runs inline."""
     from attndistill import models
     from attndistill.attention import SelfAttention
 
-    started = _thread_starts(monkeypatch)
+    handed = hand_offs(monkeypatch)
     monkeypatch.setattr(T, "_TWO_CPUS", True)
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((100, 3, 32, 32)).astype(np.float32))
@@ -926,30 +913,28 @@ def test_toy_models_split_only_their_attention_chunks(monkeypatch):
                         for role, variant in (("teacher", "conv"), ("student", "hybrid")))
     with no_grad():
         teacher.forward_with_taps(x)
-    assert not started
+    assert len(handed) == 1
     logits, _ = student.forward_with_taps(x, training=True)
     T.tsum(logits).backward()
     attention = [layer for _, layer in student.named_layers() if isinstance(layer, SelfAttention)]
-    assert attention and len(started) == 2 * len(attention)
+    assert attention and len(handed) == 1 + 2 * len(attention)
 
 
 def test_conv2d_with_one_cpu_starts_no_thread(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
     monkeypatch.setattr(T, "_TWO_CPUS", False)
     monkeypatch.setattr(T, "_SPLIT_MACS", 0)
-    monkeypatch.setattr(threading, "Thread", refuse)
+    handed = hand_offs(monkeypatch)
     for case in CONV_SPLITS.values():
         assert _conv_bytes(*case)
+    assert not handed
 
 
 def test_task_split_error_in_the_second_half_raises_in_the_caller(monkeypatch):
-    """A failing item of a `_map_halves` split, run in the second thread,
-    raises in the caller once the first half is done, and leaves no
-    thread behind."""
+    """A failing item of a `_map_halves` split, run in the worker thread,
+    raises in the caller once the first half is done, and leaves the
+    worker idle for the next split."""
     monkeypatch.setattr(T, "_TWO_CPUS", True)
-    threads, ran = threading.active_count(), []
+    ran = []
 
     def task(item):
         if item == "boom":
@@ -959,9 +944,10 @@ def test_task_split_error_in_the_second_half_raises_in_the_caller(monkeypatch):
 
     with pytest.raises(ShapeError, match="second half"):
         T._map_halves(task, ["a", "b", "boom"], T._SPLIT_MACS)
-    assert ran == ["a", "b"] and threading.active_count() == threads
+    assert ran == ["a", "b"]
+    assert_worker_idle()
     assert T._map_halves(task, ["a", "b"], T._SPLIT_MACS) == ["a", "b"]
-    assert threading.active_count() == threads
+    assert_worker_idle()
 
 
 # --- lean autodiff graph: what a recorded op keeps beyond its output ---
